@@ -20,7 +20,6 @@ from .formats import (
     fragment_from_json,
     fragment_to_dot,
     fragment_to_json,
-    parse_element,
     report_to_json,
 )
 from .primes import PrimeList, euclid_step, prime_stream
@@ -67,7 +66,6 @@ __all__ = [
     "noetherian_chain",
     "non_compact_witness",
     "non_regular_witness",
-    "parse_element",
     "prime_stream",
     "report_to_json",
     "t1_failure_witness",

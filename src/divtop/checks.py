@@ -19,10 +19,11 @@ from .errors import (
     FragmentTooLargeForEnumeration,
     NotAtomic,
     NotIrreducible,
+    ParameterError,
     RingMismatch,
 )
 from .rings import ClassId, Ring
-from .topology import Fragment, PointSet, build_fragment
+from .topology import DENSE_OPEN_CAP, ENUM_CAP, Fragment, PointSet, build_fragment
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -88,10 +89,10 @@ def t1_failure_witness(ring: Ring, a: ClassId) -> CheckReport:
     a2 = ring.mul_class(a, a)
     fragment = build_fragment(ring, [a2])
     square_in_closure = a2 in fragment.closure(fragment.point_set([a]))
-    a_in_min_open = a in fragment.minimal_open(a2)
+    a_in_min_open = a in fragment.basic_open(a2)
     opens_checked = 0
     exhaustive = True
-    if len(fragment) <= 20:
+    if len(fragment) <= ENUM_CAP:
         for o in fragment.enumerate_opens():
             opens_checked += 1
             if a2 in o and a not in o:
@@ -228,9 +229,9 @@ def density_check(ring: Ring, samples: Sequence[ClassId]) -> CheckReport:
 def dense_open_check(fragment: Fragment) -> CheckReport:
     """Dense opens all contain the isolated points, and their intersection is
     dense again (one-fragment Baire echo)."""
-    if len(fragment) > 12:
+    if len(fragment) > DENSE_OPEN_CAP:
         raise FragmentTooLargeForEnumeration(
-            f"{len(fragment)} points exceeds the dense-open cap 12"
+            f"{len(fragment)} points exceeds the dense-open cap {DENSE_OPEN_CAP}"
         )
     iso = fragment.point_set(
         p for p in fragment.points if len(fragment.basic_open(p)) == 1
@@ -371,7 +372,7 @@ def non_compact_witness(
 def noetherian_chain(ring: Ring, a: ClassId, n: int) -> CheckReport:
     """Basic opens of a, a^2, ..., a^n grow strictly at every step."""
     if n < 2:
-        raise ValueError("chain length must be >= 2")
+        raise ParameterError("chain length must be >= 2")
     powers = [a]
     for _ in range(n - 1):
         powers.append(ring.mul_class(powers[-1], a))

@@ -41,7 +41,6 @@ PROPS = (
     "maximal",
 )
 
-DEFAULT_RNG_SEED = 20259  # reserved for sampled property suites
 DEFAULT_CHAIN = 5
 
 PRIME_START = {"z": "2", "fp": "x", "gauss": "1+1i"}
@@ -204,6 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="divtop",
         description="divisibility-order topology on finite fragments of integral domains",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -213,25 +213,21 @@ def build_parser() -> argparse.ArgumentParser:
         if seeds_required:
             sp.add_argument("--seeds", required=True, help="comma-separated element texts")
 
-    sp = sub.add_parser("fragment", help="build a fragment and export it")
+    sp = sub.add_parser("fragment", help="build a fragment and export it", allow_abbrev=False)
     common(sp)
     sp.add_argument("--out", choices=("json", "dot", "text"), default="json")
     sp.set_defaults(func=cmd_fragment)
 
-    sp = sub.add_parser("check", help="run theorem checks against a fragment")
+    sp = sub.add_parser("check", help="run theorem checks against a fragment", allow_abbrev=False)
     common(sp)
     sp.add_argument("--props", required=True, help="comma list from: " + ",".join(PROPS))
     sp.add_argument("--n", type=int, default=DEFAULT_CHAIN, help="chain length for the chain prop")
-    sp.add_argument(
-        "--seed",
-        type=int,
-        default=DEFAULT_RNG_SEED,
-        help="RNG seed reserved for sampled property suites (current props are deterministic)",
-    )
     sp.add_argument("--out", choices=("json", "text"), default="json")
     sp.set_defaults(func=cmd_check)
 
-    sp = sub.add_parser("primes", help="grow a list of pairwise non-associated primes")
+    sp = sub.add_parser(
+        "primes", help="grow a list of pairwise non-associated primes", allow_abbrev=False
+    )
     common(sp, seeds_required=False)
     sp.add_argument("--start", default=None, help="comma-separated starting primes")
     sp.add_argument("--count", type=int, required=True, help="number of primes to append")
@@ -242,9 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "count", 1) < 1:
-        print("error: --count must be >= 1", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except DivtopError as exc:

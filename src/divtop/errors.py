@@ -29,6 +29,10 @@ class NotAtomic(CapabilityMissing):
     """Factorization requested on a ring without the atomic capability."""
 
 
+class ParameterError(DivtopError, ValueError):
+    """A ring, check or stream parameter is out of range."""
+
+
 class SizeGuard(DivtopError):
     """Input exceeds the ring's enumeration bounds."""
 

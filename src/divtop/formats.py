@@ -18,15 +18,6 @@ from .topology import Fragment, PointSet, build_fragment
 SCHEMA = "divtop/1"
 
 
-def parse_element(ring: Ring, text: str):
-    """Exact parse of one element in the ring's text grammar.
-
-    Zero and out-of-guard values are legal here; they are rejected by class
-    construction, not by the parser.
-    """
-    return ring.parse(text)
-
-
 def ring_descriptor(ring: Ring) -> dict:
     d = {"tag": ring.tag}
     if ring.p is not None:

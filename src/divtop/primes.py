@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import AssociatedInputs, CapabilityMissing, NotIrreducible, SizeGuard
+from .errors import AssociatedInputs, CapabilityMissing, NotIrreducible, ParameterError, SizeGuard
 from .rings import ClassId, Ring
 
 M_CAP = 64  # with >= 2 primes m = 1 already works; this is defensive
@@ -53,7 +53,7 @@ def euclid_step(ring: Ring, primes: PrimeList) -> ClassId:
     _require_stream_capability(ring)
     members = primes.members
     if not members:
-        raise ValueError("prime list must be nonempty")
+        raise ParameterError("prime list must be nonempty")
     _validate_members(ring, members)
     head = members[0].rep
     tail = ring.product(c.rep for c in members[1:])
@@ -77,7 +77,7 @@ def euclid_step(ring: Ring, primes: PrimeList) -> ClassId:
 def prime_stream(ring: Ring, start: PrimeList, count: int) -> PrimeList:
     """Extend the list by count new pairwise non-associated primes."""
     if count < 1:
-        raise ValueError("count must be >= 1")
+        raise ParameterError("count must be >= 1")
     members = list(start.members)
     for _ in range(count):
         q = euclid_step(ring, PrimeList(ring.name, tuple(members)))

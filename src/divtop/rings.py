@@ -33,6 +33,7 @@ from .errors import (
     ElementSyntaxError,
     ModulusMissing,
     NotAtomic,
+    ParameterError,
     RingMismatch,
     SizeGuard,
     UnitElement,
@@ -148,7 +149,7 @@ def _trim(coeffs) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# parsing helpers (shared by gauss and zs5: "a", "bS", "a+bS" with sign forms)
+# parsing helpers
 
 def _ascii_minus(text: str) -> str:
     # tolerate the typographic minus sign; same length keeps positions honest
@@ -163,40 +164,45 @@ def _parse_int(text: str) -> int:
     return int(m.group(1))
 
 
+def _terms(text: str, sym: str, powers: bool):
+    """Yield (position, coefficient, power) for each term of text.
+
+    Terms are joined by '+' or '-' and the first may carry a sign too.  A
+    term is digits, or optional digits then ``sym`` (power 1), then, with
+    ``powers``, an optional ``^digits``.  Spaces may stand only at the ends
+    and around signs.  Positions index ``text`` itself.
+    """
+    s = _ascii_minus(text)
+    end = len(s.rstrip(" "))
+    if not end:
+        raise ElementSyntaxError(text, 0, "empty element text")
+    tail = r"(?:\^(?P<exp>[0-9]*))?" if powers else ""
+    term = re.compile(rf" *(?P<sign>[+-]?) *(?P<digits>[0-9]*)(?P<sym>{re.escape(sym)}{tail})?")
+    i = 0
+    while i < end:
+        m = term.match(s, i)
+        pos = m.start("sign")
+        if i and not m["sign"]:
+            raise ElementSyntaxError(text, pos, "expected + or -")
+        if not (m["digits"] or m["sym"]):
+            raise ElementSyntaxError(text, m.end(), "expected digits or " + sym)
+        exp = m.groupdict().get("exp")
+        if exp == "":
+            raise ElementSyntaxError(text, m.end(), "expected an exponent")
+        power = (int(exp) if exp else 1) if m["sym"] else 0
+        yield pos, int(m["sign"] + (m["digits"] or "1")), power
+        i = m.end()
+
+
 def _parse_pair(text: str, sym: str) -> tuple:
     """Parse 'a', 'bS', 'a+bS' (S = sym); coefficient may omit its digits."""
-    s = _ascii_minus(text).replace(" ", "")
-    if not s:
-        raise ElementSyntaxError(text, 0, "empty element text")
-    real = 0
-    imag = 0
-    seen_real = seen_imag = False
-    i = 0
-    while i < len(s):
-        start = i
-        sign = 1
-        if s[i] in "+-":
-            sign = -1 if s[i] == "-" else 1
-            i += 1
-        j = i
-        while j < len(s) and s[j].isdigit():
-            j += 1
-        digits = s[i:j]
-        if j < len(s) and s[j] == sym:
-            if seen_imag:
-                raise ElementSyntaxError(text, start, f"duplicate {sym}-term")
-            imag = sign * (int(digits) if digits else 1)
-            seen_imag = True
-            i = j + 1
-        elif digits:
-            if seen_real:
-                raise ElementSyntaxError(text, start, "duplicate integer term")
-            real = sign * int(digits)
-            seen_real = True
-            i = j
-        else:
-            raise ElementSyntaxError(text, j, "expected digits or " + sym)
-    return real, imag
+    pair = {}
+    for pos, coeff, power in _terms(text, sym, False):
+        if power in pair:
+            what = f"{sym}-term" if power else "integer term"
+            raise ElementSyntaxError(text, pos, "duplicate " + what)
+        pair[power] = coeff
+    return pair.get(0, 0), pair.get(1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +213,7 @@ class Ring:
     """Uniform surface over one integral domain.
 
     Subclasses provide the element-level primitives (arithmetic, canonical
-    associate, exact division, divisor/factor enumeration); the class-level
+    associate, exact division, factoring); divisor enumeration, class-level
     operations and their argument validation live here.
     """
 
@@ -245,9 +251,6 @@ class Ring:
     def add(self, a, b):
         raise NotImplementedError
 
-    def neg(self, e):
-        raise NotImplementedError
-
     def canonical(self, e):
         """Canonical associate of a nonzero element."""
         raise NotImplementedError
@@ -264,17 +267,37 @@ class Ring:
         raise NotImplementedError
 
     def parse(self, text: str):
-        raise NotImplementedError
+        """Exact parse of one element in the ring's text grammar.
 
-    def _divisor_reps(self, a) -> list:
-        """Canonical reps of every non-unit divisor class of a, sorted."""
+        Zero and out-of-guard values are legal here; they are rejected by
+        class construction, not by the parser.
+        """
         raise NotImplementedError
 
     def _factor_reps(self, a) -> tuple:
+        """Canonical irreducible factors of a, with multiplicity."""
         raise NotImplementedError
 
+    def _divisor_reps(self, a) -> set:
+        """Canonical reps of every non-unit divisor class of a.
+
+        In a UFD these are the products of sub-multisets of a's irreducible
+        factors."""
+        counts = {}
+        for f in self._factor_reps(a):
+            counts[f] = counts.get(f, 0) + 1
+        divs = [self.one()]
+        for f, e in counts.items():
+            step = []
+            for d in divs:
+                for _ in range(e):
+                    d = self.mul(d, f)
+                    step.append(d)
+            divs += step
+        return {self.canonical(d) for d in divs[1:]}
+
     def _irreducible(self, a) -> bool:
-        raise NotImplementedError
+        return len(self._factor_reps(a)) == 1
 
     def _gcd(self, a, b):
         raise CapabilityMissing(f"{self.name} has no gcd")
@@ -341,12 +364,6 @@ class Ring:
             raise RingMismatch(f"classes {ca.ring}/{cb.ring} do not belong to {self.name}")
         return self._class(self.canonical(self.mul(ca.rep, cb.rep)))
 
-    def pow(self, a, n: int):
-        out = self.one()
-        for _ in range(n):
-            out = self.mul(out, a)
-        return out
-
     def product(self, elems: Iterable):
         return reduce(self.mul, elems, self.one())
 
@@ -389,9 +406,6 @@ class IntegerRing(Ring):
     def add(self, a, b):
         return a + b
 
-    def neg(self, e):
-        return -e
-
     def canonical(self, e):
         return abs(e)
 
@@ -421,10 +435,7 @@ class IntegerRing(Ring):
 
     def _divisor_reps(self, a):
         self._guard(a, self.ENUM_MAX)
-        divs = [1]
-        for p, e in sorted(factorint(abs(a)).items()):
-            divs = [d * p**k for d in divs for k in range(e + 1)]
-        return sorted(d for d in divs if d > 1)
+        return super()._divisor_reps(a)
 
     def _irreducible(self, a) -> bool:
         self._guard(a, self.VALUE_MAX)
@@ -545,19 +556,6 @@ class GaussianRing(Ring):
         assert self.is_unit(rest)
         return tuple(sorted(out, key=self.sort_key))
 
-    def _divisor_reps(self, a):
-        facs = {}
-        for r in self._factor_reps(a):
-            facs[r] = facs.get(r, 0) + 1
-        divs = [self.one()]
-        for pi, e in sorted(facs.items(), key=lambda kv: self.sort_key(kv[0])):
-            divs = [self.mul(d, self.pow(pi, k)) for d in divs for k in range(e + 1)]
-        reps = {self.canonical(d) for d in divs if not self.is_unit(d)}
-        return sorted(reps, key=self.sort_key)
-
-    def _irreducible(self, a) -> bool:
-        return len(self._factor_reps(a)) == 1
-
 
 # ---------------------------------------------------------------------------
 # polynomials over F_p
@@ -571,7 +569,7 @@ class PolynomialRing(Ring):
 
     def __init__(self, p: int):
         if not isprime(p) or p > self.P_MAX:
-            raise ValueError(f"fp modulus must be a prime <= {self.P_MAX}, got {p}")
+            raise ParameterError(f"fp modulus must be a prime <= {self.P_MAX}, got {p}")
         self.p = p
         self.caps = Capabilities(
             has_gcd=True,
@@ -623,9 +621,6 @@ class PolynomialRing(Ring):
             out[i] = (ai + bi) % self.p
         return Poly(self.p, _trim(out))
 
-    def neg(self, e):
-        return Poly(self.p, tuple(-c % self.p for c in e.coeffs))
-
     def canonical(self, e):
         inv = pow(e.coeffs[-1], -1, self.p)
         return Poly(self.p, tuple(c * inv % self.p for c in e.coeffs))
@@ -673,47 +668,10 @@ class PolynomialRing(Ring):
         return "+".join(terms)
 
     def parse(self, text: str):
-        s = _ascii_minus(text).replace(" ", "")
-        if not s:
-            raise ElementSyntaxError(text, 0, "empty element text")
         coeffs = {}
-        i = 0
-        while i < len(s):
-            start = i
-            sign = 1
-            if s[i] in "+-":
-                sign = -1 if s[i] == "-" else 1
-                i += 1
-            j = i
-            while j < len(s) and s[j].isdigit():
-                j += 1
-            digits = s[i:j]
-            if j < len(s) and s[j] == "x":
-                coeff = int(digits) if digits else 1
-                j += 1
-                if j < len(s) and s[j] == "^":
-                    j += 1
-                    k = j
-                    while k < len(s) and s[k].isdigit():
-                        k += 1
-                    if k == j:
-                        raise ElementSyntaxError(text, j, "expected an exponent")
-                    power = int(s[j:k])
-                    j = k
-                else:
-                    power = 1
-            elif digits:
-                coeff = int(digits)
-                power = 0
-            else:
-                raise ElementSyntaxError(text, start, "expected a term")
-            coeffs[power] = (coeffs.get(power, 0) + sign * coeff) % self.p
-            i = j
-        size = max(coeffs, default=0) + 1
-        out = [0] * size
-        for k, c in coeffs.items():
-            out[k] = c
-        return Poly(self.p, _trim(out))
+        for _, c, k in _terms(text, "x", True):
+            coeffs[k] = coeffs.get(k, 0) + c
+        return self.poly(coeffs.get(k, 0) for k in range(max(coeffs) + 1))
 
     def _guard(self, a) -> None:
         if a.degree > self.DEG_MAX:
@@ -751,16 +709,6 @@ class PolynomialRing(Ring):
             rest = self.canonical(self.divide(rest, f))
             if self.is_unit(rest):
                 return tuple(out)
-
-    def _divisor_reps(self, a):
-        facs = {}
-        for r in self._factor_reps(a):
-            facs[r] = facs.get(r, 0) + 1
-        divs = [self.one()]
-        for f, e in sorted(facs.items(), key=lambda kv: self.sort_key(kv[0])):
-            divs = [self.mul(d, self.pow(f, k)) for d in divs for k in range(e + 1)]
-        reps = {d for d in divs if not self.is_unit(d)}
-        return sorted(reps, key=self.sort_key)
 
     def _irreducible(self, a) -> bool:
         self._guard(a)
@@ -857,8 +805,8 @@ class RootMinus5Ring(Ring):
         divs = [1]
         for p, e in sorted(factorint(n).items()):
             divs = [d * p**k for d in divs for k in range(e + 1)]
-        reps = []
-        for d in sorted(divs):
+        reps = set()
+        for d in divs:
             if d < 2:
                 continue
             for x, y in self._norm_solutions(d):
@@ -867,12 +815,11 @@ class RootMinus5Ring(Ring):
                     cands.append(Root5(x, -y))
                 for c in cands:
                     if self.divide(a, c) is not None:
-                        reps.append(self.canonical(c))
-        return sorted(set(reps), key=self.sort_key)
+                        reps.add(self.canonical(c))
+        return reps
 
     def _irreducible(self, a) -> bool:
-        reps = self._divisor_reps(a)
-        return reps == [self.canonical(a)]
+        return self._divisor_reps(a) == {self.canonical(a)}
 
     def _factor_reps(self, a):
         out = []
@@ -901,7 +848,7 @@ class PPowerRing(Ring):
 
     def __init__(self, p: int):
         if not isprime(p):
-            raise ValueError(f"valp parameter must be prime, got {p}")
+            raise ParameterError(f"valp parameter must be prime, got {p}")
         self.p = p
         self.caps = Capabilities(
             has_gcd=True,
@@ -942,9 +889,6 @@ class PPowerRing(Ring):
     def add(self, a, b):
         raise CapabilityMissing("valp classes carry no additive structure")
 
-    def neg(self, e):
-        return e  # -u*p^k is still a unit times p^k
-
     def canonical(self, e):
         return e
 
@@ -983,14 +927,8 @@ class PPowerRing(Ring):
             raise SizeGuard(f"exponent {k} exceeds the valp bound {self.K_MAX}")
         return PPow(self.p, k)
 
-    def _divisor_reps(self, a):
-        self._check(a)
-        return [PPow(self.p, j) for j in range(1, a.k + 1)]
-
-    def _irreducible(self, a) -> bool:
-        return a.k == 1
-
     def _factor_reps(self, a):
+        self._check(a)
         return (PPow(self.p, 1),) * a.k
 
     def _gcd(self, a, b):

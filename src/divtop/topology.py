@@ -24,6 +24,7 @@ from .rings import ClassId, Ring
 
 POINT_CAP = 4096
 ENUM_CAP = 20
+DENSE_OPEN_CAP = 12
 
 
 class PointSet:
@@ -146,11 +147,8 @@ class Fragment:
     # -- topology -------------------------------------------------------------
 
     def basic_open(self, p: ClassId) -> PointSet:
+        """In-fragment divisors of p: also the smallest open containing p."""
         return PointSet(self, self._cols[self.index_of(p)])
-
-    def minimal_open(self, p: ClassId) -> PointSet:
-        # the smallest open containing p is its basic open
-        return self.basic_open(p)
 
     def specializes(self, p: ClassId, q: ClassId) -> bool:
         """True when q lies in the closure of {p}, i.e. p divides q."""

@@ -171,7 +171,35 @@ def test_primes_zs5_exits_2(capsys):
 
 def test_primes_bad_count(capsys):
     code, _, err = run(capsys, "primes", "--ring", "z", "--count", "0")
-    assert code == 2
+    assert code == 2 and "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("fragment", "--ring", "fp", "--p", "4", "--seeds", "x"),
+        ("fragment", "--ring", "fp", "--p", "19", "--seeds", "x"),
+        ("fragment", "--ring", "valp", "--p", "4", "--seeds", "p"),
+        ("check", "--ring", "z", "--seeds", "2", "--props", "chain", "--n", "1"),
+    ],
+)
+def test_parameter_errors_exit_2(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # --seed is not an abbreviation of --seeds
+        ("fragment", "--ring", "z", "--seeds", "12", "--seed", "3"),
+        ("check", "--ring", "z", "--seeds", "12", "--props", "t0", "--seed", "3"),
+    ],
+)
+def test_flag_prefixes_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize(

@@ -2,15 +2,17 @@
 
 import json
 import random
+import re
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from divtop.errors import DivtopError, ElementSyntaxError, ModulusMissing
 from divtop.formats import (
     fragment_from_json,
     fragment_to_dot,
     fragment_to_json,
-    parse_element,
     report_to_json,
     ring_from_descriptor,
 )
@@ -24,6 +26,7 @@ Z = make_ring("z")
 G = make_ring("gauss")
 F2 = make_ring("fp", 2)
 F3 = make_ring("fp", 3)
+F5 = make_ring("fp", 5)
 S5 = make_ring("zs5")
 V2 = make_ring("valp", 2)
 
@@ -33,52 +36,113 @@ V2 = make_ring("valp", 2)
 
 
 def test_parse_int():
-    assert parse_element(Z, "-12") == -12
-    assert parse_element(Z, "−12") == -12  # typographic minus tolerated
-    assert parse_element(Z, "0") == 0  # rejected later, at class construction
+    assert Z.parse("-12") == -12
+    assert Z.parse("−12") == -12  # typographic minus tolerated
+    assert Z.parse("0") == 0  # rejected later, at class construction
     with pytest.raises(ElementSyntaxError) as exc:
-        parse_element(Z, "12a")
+        Z.parse("12a")
     assert exc.value.position == 2
 
 
 def test_parse_gauss():
-    assert parse_element(G, "3+2i") == Gauss(3, 2)
-    assert parse_element(G, "-1-1i") == Gauss(-1, -1)
-    assert parse_element(G, "3") == Gauss(3, 0)
-    assert parse_element(G, "2i") == Gauss(0, 2)
-    assert parse_element(G, "-i") == Gauss(0, -1)
+    assert G.parse("3+2i") == Gauss(3, 2)
+    assert G.parse("-1-1i") == Gauss(-1, -1)
+    assert G.parse("3") == Gauss(3, 0)
+    assert G.parse("2i") == Gauss(0, 2)
+    assert G.parse("-i") == Gauss(0, -1)
     with pytest.raises(ElementSyntaxError):
-        parse_element(G, "3+2j")
+        G.parse("3+2j")
     with pytest.raises(ElementSyntaxError):
-        parse_element(G, "1+2i+3i")
+        G.parse("1+2i+3i")
 
 
 def test_parse_zs5():
-    assert parse_element(S5, "1+1s") == Root5(1, 1)
-    assert parse_element(S5, "4+1s") == Root5(4, 1)
-    assert parse_element(S5, "1-1s") == Root5(1, -1)
-    assert parse_element(S5, "-7") == Root5(-7, 0)
+    assert S5.parse("1+1s") == Root5(1, 1)
+    assert S5.parse("4+1s") == Root5(4, 1)
+    assert S5.parse("1-1s") == Root5(1, -1)
+    assert S5.parse("-7") == Root5(-7, 0)
 
 
 def test_parse_poly():
-    assert parse_element(F2, "x^3+x+1") == Poly(2, (1, 1, 0, 1))
-    assert parse_element(F3, "x^3+2x+1") == Poly(3, (1, 2, 0, 1))
-    assert parse_element(F3, "2x+1") == Poly(3, (1, 2))
-    assert parse_element(F2, "x^2+x") == Poly(2, (0, 1, 1))
-    assert parse_element(F3, "4x") == Poly(3, (0, 1))  # coefficients reduce mod p
+    assert F2.parse("x^3+x+1") == Poly(2, (1, 1, 0, 1))
+    assert F3.parse("x^3+2x+1") == Poly(3, (1, 2, 0, 1))
+    assert F3.parse("2x+1") == Poly(3, (1, 2))
+    assert F2.parse("x^2+x") == Poly(2, (0, 1, 1))
+    assert F3.parse("4x") == Poly(3, (0, 1))  # coefficients reduce mod p
     with pytest.raises(ElementSyntaxError) as exc:
-        parse_element(F2, "x^")
+        F2.parse("x^")
     assert exc.value.position == 2
 
 
 def test_parse_valp():
-    assert parse_element(V2, "p^4") == PPow(2, 4)
-    assert parse_element(V2, "p") == PPow(2, 1)
-    assert parse_element(V2, "8") == PPow(2, 3)
+    assert V2.parse("p^4") == PPow(2, 4)
+    assert V2.parse("p") == PPow(2, 1)
+    assert V2.parse("8") == PPow(2, 3)
     with pytest.raises(ElementSyntaxError):
-        parse_element(V2, "6")
+        V2.parse("6")
     with pytest.raises(ElementSyntaxError):
-        parse_element(V2, "q^2")
+        V2.parse("q^2")
+
+
+def _grammar(term: str):
+    # the documented rule, written apart from the tokenizer: a sign between
+    # terms, spaces only at the ends and around signs
+    sign = "[+\\-−]"
+    return re.compile(rf" *(?:{sign} *)?(?:{term})(?: *{sign} *(?:{term}))* *")
+
+
+def _check_grammar(ring, grammar, text):
+    """text parses, matches the grammar and round-trips through fmt, or it
+    raises ElementSyntaxError at a position inside the text."""
+    try:
+        e = ring.parse(text)
+    except ElementSyntaxError as exc:
+        assert 0 <= exc.position <= len(text)
+        # grammatical texts fail only on a repeated term of the pair grammars
+        assert not grammar.fullmatch(text) or exc.reason.startswith("duplicate")
+        return
+    assert grammar.fullmatch(text), text
+    assert ring.parse(ring.fmt(e)) == e
+
+
+@given(st.text("0123456789+-−^ ij", max_size=10))
+@example("1i2")
+@example("2 3")
+@example("3 - 2i")
+@settings(max_examples=300)
+def test_gauss_grammar(text):
+    _check_grammar(G, _grammar("[0-9]+|[0-9]*i"), text)
+
+
+@given(st.text("0123456789+-−^ st", max_size=10))
+@example("1s2")
+@example("-s")
+@settings(max_examples=300)
+def test_zs5_grammar(text):
+    _check_grammar(S5, _grammar("[0-9]+|[0-9]*s"), text)
+
+
+@given(st.text("0123456789+-−^ xy", max_size=10))
+@example("x2")
+@example("xx")
+@example("x^ 2")
+@example("x ^2")
+@example("x^2 + 2x - 1")
+@settings(max_examples=300)
+def test_fp_grammar(text):
+    # exponents stay below four digits: parse builds the dense coefficient
+    # list before any degree guard, so x^999999999 would allocate gigabytes
+    assume(all(len(k) < 4 for k in re.findall(r"\^([0-9]+)", text)))
+    _check_grammar(F5, _grammar(r"[0-9]+|[0-9]*x(?:\^[0-9]+)?"), text)
+
+
+def test_parse_error_positions_index_the_text():
+    with pytest.raises(ElementSyntaxError) as exc:
+        G.parse(" 1 + 2i 3")
+    assert exc.value.position == 8
+    with pytest.raises(ElementSyntaxError) as exc:
+        F5.parse("x +  x^")
+    assert exc.value.position == 7
 
 
 def test_modulus_missing():
@@ -102,7 +166,7 @@ def test_parse_fmt_roundtrip():
             if ring.is_zero(e) or ring.is_unit(e):
                 continue
             rep = ring.canonical_class(e).rep
-            assert parse_element(ring, ring.fmt(rep)) == rep
+            assert ring.parse(ring.fmt(rep)) == rep
 
 
 # ---------------------------------------------------------------------------

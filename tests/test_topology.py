@@ -120,10 +120,11 @@ def test_basic_open_examples():
 
 def test_minimal_open_examples():
     f = zfrag(12)
-    assert f.minimal_open(Z.canonical_class(6)) == f.basic_open(Z.canonical_class(6))
-    assert f.minimal_open(Z.canonical_class(3)).texts() == ("3",)
+    # the basic open is the minimal open: it is open, and least by the next test
+    assert f.is_open(f.basic_open(Z.canonical_class(6)))
+    assert f.basic_open(Z.canonical_class(3)).texts() == ("3",)
     fv = build_fragment(V2, [V2.canonical_class(PPow(2, 4))])
-    assert set(fv.minimal_open(V2.canonical_class(PPow(2, 3))).texts()) == {
+    assert set(fv.basic_open(V2.canonical_class(PPow(2, 3))).texts()) == {
         "p",
         "p^2",
         "p^3",
@@ -134,7 +135,7 @@ def test_minimal_open_is_least():
     f = zfrag(36)
     for o in f.enumerate_opens():
         for p in o:
-            assert f.minimal_open(p) <= o
+            assert f.basic_open(p) <= o
 
 
 def test_point_not_in_fragment():
