@@ -52,34 +52,37 @@ def _texts(s) -> list:
 
 
 def check_t0(fragment: Fragment) -> CheckReport:
-    """Every pair of distinct points is separated by some basic open."""
+    """Every pair of distinct points is separated by some basic open.
+
+    Basic opens are down-sets of a preorder, so two points fail to be
+    separated exactly when their basic opens coincide; the check keys the
+    columns in a dict and reports the first such pair in (i, j) order.
+    """
     pts = fragment.points
-    example = None
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            p, q = pts[i], pts[j]
-            if not fragment.specializes(p, q):
-                # p does not divide q, so the basic open at q misses p
-                sep, inside, outside = fragment.basic_open(q), q, p
-            elif not fragment.specializes(q, p):
-                sep, inside, outside = fragment.basic_open(p), p, q
-            else:
-                return CheckReport(
-                    "t0",
-                    FAILS,
-                    (p, q),
-                    {"reason": "mutually dividing distinct points"},
-                )
-            if example is None:
-                example = {
-                    "pair": [outside.text, inside.text],
-                    "separating_open": _texts(sep),
-                    "contains": inside.text,
-                }
+    first = {}
+    pairs = ((first.setdefault(col, j), j) for j, col in enumerate(fragment._cols))
+    clash = min((ij for ij in pairs if ij[0] != ij[1]), default=None)
+    if clash is not None:
+        return CheckReport(
+            "t0",
+            FAILS,
+            (pts[clash[0]], pts[clash[1]]),
+            {"reason": "mutually dividing distinct points"},
+        )
     n = len(pts)
     details = {"pairs_checked": n * (n - 1) // 2}
-    if example is not None:
-        details["example"] = example
+    if n > 1:
+        p, q = pts[0], pts[1]
+        if not fragment.specializes(p, q):
+            # p does not divide q, so the basic open at q misses p
+            sep, inside, outside = fragment.basic_open(q), q, p
+        else:
+            sep, inside, outside = fragment.basic_open(p), p, q
+        details["example"] = {
+            "pair": [outside.text, inside.text],
+            "separating_open": _texts(sep),
+            "contains": inside.text,
+        }
     return CheckReport("t0", HOLDS, (), details)
 
 
@@ -136,29 +139,35 @@ def isolated_points(fragment: Fragment) -> CheckReport:
 # nestedness and basis laws
 
 
-def check_nested(ring: Ring, seeds: Sequence[ClassId]) -> CheckReport:
-    """All basic opens comparable under inclusion <=> total divisibility."""
-    fragment = build_fragment(ring, seeds)
+def check_nested(fragment: Fragment) -> CheckReport:
+    """All basic opens comparable under inclusion <=> total divisibility.
+
+    U_i lies in U_j exactly when i divides j, so the points whose basic opens
+    are incomparable with U_i are those outside row(i) | col(i).  The first
+    failing pair (i, j) has the lowest i with any such point, and then all of
+    them lie above i, since a lower one would have failed first.
+    """
     pts = fragment.points
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            oi, oj = fragment.basic_open(pts[i]), fragment.basic_open(pts[j])
-            if not (oi <= oj or oj <= oi):
-                return CheckReport(
-                    "nested",
-                    FAILS,
-                    (pts[i], pts[j]),
-                    {
-                        "open_left": _texts(oi),
-                        "open_right": _texts(oj),
-                        "ring_is_valuation": ring.caps.is_valuation,
-                    },
-                )
+    valuation = fragment.ring.caps.is_valuation
+    for i, (row, col) in enumerate(zip(fragment._rows, fragment._cols)):
+        apart = ~(row | col) & fragment.full_bits
+        if apart:
+            j = (apart & -apart).bit_length() - 1
+            return CheckReport(
+                "nested",
+                FAILS,
+                (pts[i], pts[j]),
+                {
+                    "open_left": _texts(fragment.basic_open(pts[i])),
+                    "open_right": _texts(fragment.basic_open(pts[j])),
+                    "ring_is_valuation": valuation,
+                },
+            )
     return CheckReport(
         "nested",
         HOLDS,
         (),
-        {"points": len(pts), "ring_is_valuation": ring.caps.is_valuation},
+        {"points": len(pts), "ring_is_valuation": valuation},
     )
 
 

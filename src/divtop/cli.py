@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from itertools import combinations
 from typing import List, Optional
 
@@ -110,28 +111,29 @@ def _intersection_pair(ring: Ring, classes: list) -> tuple:
     return a, a
 
 
-def _run_prop(prop: str, ring: Ring, classes: list, args) -> CheckReport:
+def _run_prop(prop: str, ring: Ring, classes: list, fragment, args) -> CheckReport:
+    """Run one prop; ``fragment()`` returns the seeds' fragment."""
     if prop == "t0":
-        return C.check_t0(build_fragment(ring, classes))
+        return C.check_t0(fragment())
     if prop == "t1":
         return C.t1_failure_witness(ring, classes[0])
     if prop == "isolated":
-        return C.isolated_points(build_fragment(ring, classes))
+        return C.isolated_points(fragment())
     if prop == "nested":
-        return C.check_nested(ring, classes)
+        return C.check_nested(fragment())
     if prop == "gcd-intersection":
         a, b = _intersection_pair(ring, classes)
         return C.basis_intersection(ring, a, b)
     if prop == "density":
         return C.density_check(ring, classes)
     if prop == "dense-open":
-        return C.dense_open_check(build_fragment(ring, classes))
+        return C.dense_open_check(fragment())
     if prop == "ultra":
         b = classes[1] if len(classes) > 1 else classes[0]
         return C.ultraconnected_witness(ring, classes[0], b)
     if prop == "sep-nbhd":
-        fragment = build_fragment(ring, classes)
-        iso = [p for p in fragment.points if len(fragment.basic_open(p)) == 1]
+        frag = fragment()
+        iso = [p for p in frag.points if len(frag.basic_open(p)) == 1]
         if len(iso) < 3:
             raise UsageError(
                 "sep-nbhd needs three non-associated irreducibles; "
@@ -145,7 +147,7 @@ def _run_prop(prop: str, ring: Ring, classes: list, args) -> CheckReport:
     if prop == "chain":
         return C.noetherian_chain(ring, classes[0], args.n)
     if prop == "maximal":
-        return C.maximal_basic_open(build_fragment(ring, classes), classes)
+        return C.maximal_basic_open(fragment(), classes)
     raise UsageError(f"unknown prop {prop!r}")
 
 
@@ -172,9 +174,11 @@ def cmd_check(args) -> int:
     for p in props:
         if p not in PROPS:
             raise UsageError(f"unknown prop {p!r}; choose from {', '.join(PROPS)}")
+    # built on first use, then shared by every prop
+    fragment = cache(lambda: build_fragment(ring, classes))
     status = 0
     for prop in props:
-        report = _run_prop(prop, ring, classes, args)
+        report = _run_prop(prop, ring, classes, fragment, args)
         if args.out == "text":
             wt = " ".join(report.witness_texts())
             print(f"{report.check}: {report.verdict}" + (f" [{wt}]" if wt else ""))

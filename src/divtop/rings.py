@@ -156,12 +156,21 @@ def _ascii_minus(text: str) -> str:
     return text.replace("−", "-")
 
 
+def _int(literal: str) -> int:
+    """int() of a matched [sign]digits literal; Python refuses very long ones."""
+    try:
+        return int(literal)
+    except ValueError:
+        digits = len(literal.lstrip("+-"))
+        raise SizeGuard(f"integer literal of {digits} digits is too long to convert") from None
+
+
 def _parse_int(text: str) -> int:
     m = re.fullmatch(r"\s*([+-]?\d+)\s*", _ascii_minus(text))
     if not m:
         bad = re.match(r"\s*[+-]?\d*", _ascii_minus(text)).end()
         raise ElementSyntaxError(text, bad, "expected an integer")
-    return int(m.group(1))
+    return _int(m.group(1))
 
 
 def _terms(text: str, sym: str, powers: bool):
@@ -189,8 +198,8 @@ def _terms(text: str, sym: str, powers: bool):
         exp = m.groupdict().get("exp")
         if exp == "":
             raise ElementSyntaxError(text, m.end(), "expected an exponent")
-        power = (int(exp) if exp else 1) if m["sym"] else 0
-        yield pos, int(m["sign"] + (m["digits"] or "1")), power
+        power = (_int(exp) if exp else 1) if m["sym"] else 0
+        yield pos, _int(m["sign"] + (m["digits"] or "1")), power
         i = m.end()
 
 
@@ -269,8 +278,11 @@ class Ring:
     def parse(self, text: str):
         """Exact parse of one element in the ring's text grammar.
 
-        Zero and out-of-guard values are legal here; they are rejected by
-        class construction, not by the parser.
+        Zero is legal here; class construction rejects it.  So are values
+        past the enumeration guards, except where the parse itself would do
+        unbounded work: an fp degree above ``DEG_MAX``, a valp exponent above
+        ``K_MAX`` and an integer literal longer than Python converts raise
+        ``SizeGuard`` here.
         """
         raise NotImplementedError
 
@@ -670,12 +682,14 @@ class PolynomialRing(Ring):
     def parse(self, text: str):
         coeffs = {}
         for _, c, k in _terms(text, "x", True):
-            coeffs[k] = coeffs.get(k, 0) + c
-        return self.poly(coeffs.get(k, 0) for k in range(max(coeffs) + 1))
+            coeffs[k] = (coeffs.get(k, 0) + c) % self.p
+        degree = max((k for k, c in coeffs.items() if c), default=0)
+        self._guard(degree)
+        return self.poly(coeffs.get(k, 0) for k in range(degree + 1))
 
-    def _guard(self, a) -> None:
-        if a.degree > self.DEG_MAX:
-            raise SizeGuard(f"degree {a.degree} exceeds the fp bound {self.DEG_MAX}")
+    def _guard(self, degree: int) -> None:
+        if degree > self.DEG_MAX:
+            raise SizeGuard(f"degree {degree} exceeds the fp bound {self.DEG_MAX}")
 
     def _monics(self, d: int):
         # every monic polynomial of degree exactly d, in counting order
@@ -697,7 +711,7 @@ class PolynomialRing(Ring):
         return None
 
     def _factor_reps(self, a):
-        self._guard(a)
+        self._guard(a.degree)
         rest = self.canonical(a)
         out = []
         while True:
@@ -711,7 +725,7 @@ class PolynomialRing(Ring):
                 return tuple(out)
 
     def _irreducible(self, a) -> bool:
-        self._guard(a)
+        self._guard(a.degree)
         return a.degree >= 1 and self._smallest_divisor(self.canonical(a)) is None
 
     def _gcd(self, a, b):
@@ -913,9 +927,9 @@ class PPowerRing(Ring):
             return PPow(self.p, 1)
         m = re.fullmatch(r"p\^(\d+)", s)
         if m:
-            k = int(m.group(1))
-        elif s.isdigit():
-            v, k = int(s), 0
+            k = _int(m.group(1))
+        elif s.isdecimal():
+            v, k = _int(s), 0
             while v > 1 and v % self.p == 0:
                 v //= self.p
                 k += 1

@@ -86,15 +86,19 @@ class Fragment:
 
     ``col(j)`` masks the divisors of point j (the basic open), ``row(i)``
     masks the multiples of point i (the closure of the singleton).  Both are
-    reflexive.  Instances are immutable once built.
+    reflexive.  ``covers`` lists the covering pairs (i, j), sorted.  Instances
+    are immutable once built.
     """
 
-    def __init__(self, ring: Ring, points: tuple, cols: tuple, rows: tuple, seeds: tuple):
+    def __init__(
+        self, ring: Ring, points: tuple, cols: tuple, rows: tuple, covers: tuple, seeds: tuple
+    ):
         self.ring = ring
         self.points = points
         self.seeds = seeds
         self._cols = cols
         self._rows = rows
+        self._covers = covers
         self._index = {c: i for i, c in enumerate(points)}
         self.full_bits = (1 << len(points)) - 1
 
@@ -211,16 +215,7 @@ class Fragment:
 
     def covering_pairs(self) -> list:
         """Transitive reduction of the divisibility relation, as index pairs."""
-        out = []
-        n = len(self.points)
-        for i in range(n):
-            for j in _iter_bits(self._rows[i]):
-                if j == i:
-                    continue
-                between = self._rows[i] & self._cols[j] & ~(1 << i) & ~(1 << j)
-                if between == 0:
-                    out.append((i, j))
-        return out
+        return list(self._covers)
 
 
 def _iter_bits(bits: int) -> Iterator[int]:
@@ -249,12 +244,38 @@ def build_fragment(ring: Ring, seeds: Iterable[ClassId]) -> Fragment:
     if len(classes) > POINT_CAP:
         raise FragmentTooLarge(f"{len(classes)} points exceeds the cap {POINT_CAP}")
     points = tuple(sorted(classes, key=lambda c: c.text))
-    n = len(points)
-    cols = [0] * n
-    rows = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if i == j or ring.divides(points[i].rep, points[j].rep):
-                cols[j] |= 1 << i
-                rows[i] |= 1 << j
-    return Fragment(ring, points, tuple(cols), tuple(rows), seeds)
+    cols, rows, covers = _divisibility(ring, points)
+    return Fragment(ring, points, cols, rows, covers, seeds)
+
+
+def _divisibility(ring: Ring, points: tuple) -> tuple:
+    """Columns, rows and covering pairs of a divisor-closed point list.
+
+    In an atomic domain every proper divisor of v divides v/q for some
+    irreducible q dividing v, and a cover is exactly a step v/q -> v.  The
+    points are visited by ``sort_key``, whose first entry strictly shrinks
+    along proper division, so every irreducible point and every v/q comes
+    before v; a point no earlier irreducible divides is irreducible itself.
+    That costs n * (#irreducible points) exact divisions.
+    """
+    index = {c.rep: i for i, c in enumerate(points)}
+    cols = [1 << i for i in range(len(points))]
+    covers = []
+    atoms = []
+    for v in sorted(range(len(points)), key=lambda i: ring.sort_key(points[i].rep)):
+        v_rep = points[v].rep
+        before = len(covers)
+        for q in atoms:
+            w = ring.divide(v_rep, q)
+            if w is not None:
+                u = index[ring.canonical(w)]
+                covers.append((u, v))
+                cols[v] |= cols[u]
+        if len(covers) == before:
+            atoms.append(v_rep)
+    # the covers into v are recorded before every cover out of v, so walking
+    # the list backwards completes rows[v] before it is merged into rows[u]
+    rows = [1 << i for i in range(len(points))]
+    for u, v in reversed(covers):
+        rows[u] |= rows[v]
+    return tuple(cols), tuple(rows), tuple(sorted(covers))

@@ -2,11 +2,14 @@
 
 Divisor sets come from raw range scans and direct exact-division tests, never
 from the adapters' factor-and-combine or norm-equation machinery, so these
-stay meaningful as cross-checks.
+stay meaningful as cross-checks.  The n^2 divides matrix and the pairwise T0
+and nestedness loops are the library's earlier implementations, kept as
+references for the irreducible-step build and the O(n) checks.
 """
 
 from math import isqrt
 
+from divtop.checks import FAILS, HOLDS, CheckReport
 from divtop.rings import Gauss, Poly, Root5
 
 
@@ -112,3 +115,78 @@ def down_sets_oracle(fragment) -> set:
         if all(divs[j] & ~bits == 0 for j in range(n) if bits >> j & 1):
             out.add(bits)
     return out
+
+
+def divisibility_oracle(ring, points) -> tuple:
+    """Columns and rows of the divides matrix by n^2 direct tests."""
+    n = len(points)
+    cols = [0] * n
+    rows = [0] * n
+    for i in range(n):
+        for j in range(n):
+            if i == j or ring.divides(points[i].rep, points[j].rep):
+                cols[j] |= 1 << i
+                rows[i] |= 1 << j
+    return tuple(cols), tuple(rows)
+
+
+def covering_pairs_oracle(cols, rows) -> set:
+    """Pairs i -> j of a divides matrix with no point strictly between."""
+    out = set()
+    for i in range(len(rows)):
+        for j in range(len(rows)):
+            if j != i and rows[i] >> j & 1:
+                if rows[i] & cols[j] & ~(1 << i) & ~(1 << j) == 0:
+                    out.add((i, j))
+    return out
+
+
+def t0_oracle(fragment) -> CheckReport:
+    """check_t0 by the pairwise loop over every pair (i, j), i < j."""
+    pts = fragment.points
+    example = None
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            p, q = pts[i], pts[j]
+            if not fragment.specializes(p, q):
+                sep, inside, outside = fragment.basic_open(q), q, p
+            elif not fragment.specializes(q, p):
+                sep, inside, outside = fragment.basic_open(p), p, q
+            else:
+                return CheckReport(
+                    "t0", FAILS, (p, q), {"reason": "mutually dividing distinct points"}
+                )
+            if example is None:
+                example = {
+                    "pair": [outside.text, inside.text],
+                    "separating_open": list(sep.texts()),
+                    "contains": inside.text,
+                }
+    n = len(pts)
+    details = {"pairs_checked": n * (n - 1) // 2}
+    if example is not None:
+        details["example"] = example
+    return CheckReport("t0", HOLDS, (), details)
+
+
+def nested_oracle(fragment) -> CheckReport:
+    """check_nested by comparing the basic opens of every pair (i, j), i < j."""
+    pts = fragment.points
+    valuation = fragment.ring.caps.is_valuation
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            oi, oj = fragment.basic_open(pts[i]), fragment.basic_open(pts[j])
+            if not (oi <= oj or oj <= oi):
+                return CheckReport(
+                    "nested",
+                    FAILS,
+                    (pts[i], pts[j]),
+                    {
+                        "open_left": list(oi.texts()),
+                        "open_right": list(oj.texts()),
+                        "ring_is_valuation": valuation,
+                    },
+                )
+    return CheckReport(
+        "nested", HOLDS, (), {"points": len(pts), "ring_is_valuation": valuation}
+    )

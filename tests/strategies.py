@@ -1,0 +1,66 @@
+"""Hypothesis strategies for ring elements, shared by the property suites."""
+
+from hypothesis import strategies as st
+
+from divtop.rings import Gauss, Root5, make_ring
+
+Z = make_ring("z")
+G = make_ring("gauss")
+F2 = make_ring("fp", 2)
+F3 = make_ring("fp", 3)
+S5 = make_ring("zs5")
+V3 = make_ring("valp", 3)
+
+
+def _elements(ring, generic, pool, max_atoms):
+    """One generic element, or a product of pool atoms, which repeats an
+    irreducible factor whenever an atom repeats; never zero or a unit."""
+    products = st.lists(st.sampled_from(pool), min_size=1, max_size=max_atoms).map(
+        ring.product
+    )
+    return st.one_of(generic, products).filter(
+        lambda e: not ring.is_zero(e) and not ring.is_unit(e)
+    )
+
+
+ELEMENTS = {
+    Z: _elements(Z, st.integers(-400, 400), [2, 3, -2, 5, 6, 9, 10], 5),
+    G: _elements(
+        G,
+        st.builds(Gauss, st.integers(-9, 9), st.integers(-9, 9)),
+        [Gauss(1, 1), Gauss(0, 1), Gauss(3, 0), Gauss(2, 1), Gauss(1, 2), Gauss(3, 1)],
+        4,
+    ),
+    S5: _elements(
+        S5,
+        st.builds(Root5, st.integers(-9, 9), st.integers(-4, 4)),
+        [Root5(2, 0), Root5(3, 0), Root5(1, 1), Root5(1, -1), Root5(-1, 0), Root5(2, 1)],
+        4,
+    ),
+    **{
+        ring: _elements(
+            ring,
+            st.lists(st.integers(0, ring.p - 1), min_size=2, max_size=5).map(ring.poly),
+            [ring.parse(t) for t in ("x", "x+1", "2x+1", "x^2+1", "x^2+x+1")],
+            4,
+        )
+        for ring in (F2, F3)
+    },
+    V3: _elements(V3, st.integers(1, 12).map(V3.element), [V3.element(1), V3.element(2)], 6),
+}
+
+# (ring, element) over all five rings
+RING_ELEMENTS = st.one_of(
+    *(elems.map(lambda e, ring=ring: (ring, e)) for ring, elems in ELEMENTS.items())
+)
+
+# (ring, seed classes): one to three seeds of one ring, so unions of divisor
+# sets show up too
+RING_SEEDS = st.one_of(
+    *(
+        st.lists(elems, min_size=1, max_size=3).map(
+            lambda es, ring=ring: (ring, [ring.canonical_class(e) for e in es])
+        )
+        for ring, elems in ELEMENTS.items()
+    )
+)

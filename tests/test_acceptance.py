@@ -97,14 +97,14 @@ def test_criterion_03_nested_iff_valuation():
     with criterion(3, 1.0, "nestedness matches the valuation capability"):
         for p in (2, 3, 5):
             vp = make_ring("valp", p)
-            r = C.check_nested(vp, [vp.canonical_class(PPow(p, 20))])
+            r = C.check_nested(build_fragment(vp, [vp.canonical_class(PPow(p, 20))]))
             assert r.verdict == "holds"
-        r = C.check_nested(Z, [cz(6)])
+        r = C.check_nested(build_fragment(Z, [cz(6)]))
         assert r.verdict == "fails" and r.witness_texts() == ["2", "3"]
-        r = C.check_nested(G, [G.canonical_class(Gauss(5, 0))])
+        r = C.check_nested(build_fragment(G, [G.canonical_class(Gauss(5, 0))]))
         want = {G.canonical_class(Gauss(2, 1)), G.canonical_class(Gauss(2, -1))}
         assert r.verdict == "fails" and set(r.witnesses) == want
-        r = C.check_nested(F2, [F2.canonical_class(F2.parse("x^2+x"))])
+        r = C.check_nested(build_fragment(F2, [F2.canonical_class(F2.parse("x^2+x"))]))
         assert r.verdict == "fails" and r.witness_texts() == ["x", "x+1"]
 
 

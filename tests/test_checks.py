@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from divtop import checks as C
 from divtop.errors import (
@@ -13,7 +15,10 @@ from divtop.errors import (
 )
 from divtop.formats import report_to_json
 from divtop.rings import Gauss, PPow, Root5, make_ring
-from divtop.topology import build_fragment
+from divtop.topology import Fragment, build_fragment
+
+from oracles import nested_oracle, t0_oracle
+from strategies import RING_SEEDS
 
 Z = make_ring("z")
 G = make_ring("gauss")
@@ -141,18 +146,18 @@ def test_isolated_equals_oracle_filter_all_adapters():
 
 
 def test_nested_valp_holds():
-    r = C.check_nested(V2, [V2.canonical_class(PPow(2, 20))])
+    r = C.check_nested(build_fragment(V2, [V2.canonical_class(PPow(2, 20))]))
     assert r.verdict == "holds"
 
 
 def test_nested_int_fails():
-    r = C.check_nested(Z, [cz(6)])
+    r = C.check_nested(build_fragment(Z, [cz(6)]))
     assert r.verdict == "fails"
     assert r.witness_texts() == ["2", "3"]
 
 
 def test_nested_gauss_fails():
-    r = C.check_nested(G, [G.canonical_class(Gauss(5, 0))])
+    r = C.check_nested(build_fragment(G, [G.canonical_class(Gauss(5, 0))]))
     assert r.verdict == "fails"
     want = {G.canonical_class(Gauss(2, 1)).text, G.canonical_class(Gauss(2, -1)).text}
     assert set(r.witness_texts()) == want
@@ -163,12 +168,13 @@ def test_nested_agrees_with_valuation_capability():
     rng = random.Random(79)
     for _ in range(20):
         k = rng.randint(1, 20)
-        assert C.check_nested(V2, [V2.canonical_class(PPow(2, k))]).verdict == "holds"
+        f = build_fragment(V2, [V2.canonical_class(PPow(2, k))])
+        assert C.check_nested(f).verdict == "holds"
     primes = [p for p in range(2, 200) if Z.is_irreducible(p)]
     for _ in range(20):
         p, q = rng.sample(primes, 2)
-        assert C.check_nested(Z, [cz(p * q)]).verdict == "fails"
-        assert C.check_nested(Z, [cz(p), cz(q)]).verdict == "fails"
+        assert C.check_nested(build_fragment(Z, [cz(p * q)])).verdict == "fails"
+        assert C.check_nested(build_fragment(Z, [cz(p), cz(q)])).verdict == "fails"
     for ring, seeds in (
         (Z, [cz(6)]),
         (G, [G.canonical_class(Gauss(5, 0))]),
@@ -176,7 +182,51 @@ def test_nested_agrees_with_valuation_capability():
         (S5, [S5.canonical_class(Root5(6, 0))]),
     ):
         assert not ring.caps.is_valuation
-        assert C.check_nested(ring, seeds).verdict == "fails"
+        assert C.check_nested(build_fragment(ring, seeds)).verdict == "fails"
+
+
+@given(RING_SEEDS)
+@example((V2, [V2.canonical_class(PPow(2, 9))]))
+@example((S5, [S5.canonical_class(Root5(6, 0)), S5.canonical_class(Root5(2, 2))]))
+@settings(max_examples=100, deadline=None)
+def test_t0_and_nested_match_pairwise_loops(ring_seeds):
+    ring, seeds = ring_seeds
+    f = build_fragment(ring, seeds)
+    assert report_to_json(C.check_t0(f)) == report_to_json(t0_oracle(f))
+    assert report_to_json(C.check_nested(f)) == report_to_json(nested_oracle(f))
+
+
+def _preorder_fragment(n, edges):
+    """Fragment over the preorder that edges generate (reflexive and
+    transitive, not necessarily antisymmetric), so both checks can reach
+    their FAILS branch at any pair."""
+    rows = [1 << i for i in range(n)]
+    for i, j in edges:
+        rows[i] |= 1 << j
+    for k in range(n):  # Warshall closure
+        for i in range(n):
+            if rows[i] >> k & 1:
+                rows[i] |= rows[k]
+    cols = [sum(1 << i for i in range(n) if rows[i] >> j & 1) for j in range(n)]
+    points = tuple(cz(k) for k in range(2, n + 2))
+    return Fragment(Z, points, tuple(cols), tuple(rows), (), points[:1])
+
+
+PREORDERS = st.integers(1, 7).flatmap(
+    lambda n: st.tuples(
+        st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=8)
+    )
+)
+
+
+@given(PREORDERS)
+@example((4, [(0, 3), (3, 0), (1, 2), (2, 1)]))  # first clash by i is (0, 3), not (1, 2)
+@example((3, [(0, 1), (0, 2)]))
+@settings(max_examples=300)
+def test_t0_and_nested_first_pair_on_preorders(preorder):
+    f = _preorder_fragment(*preorder)
+    assert report_to_json(C.check_t0(f)) == report_to_json(t0_oracle(f))
+    assert report_to_json(C.check_nested(f)) == report_to_json(nested_oracle(f))
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +448,7 @@ def test_reports_are_deterministic():
             C.check_t0(zfrag(12)),
             C.t1_failure_witness(Z, cz(2)),
             C.isolated_points(zfrag(60)),
-            C.check_nested(Z, [cz(6)]),
+            C.check_nested(build_fragment(Z, [cz(6)])),
             C.basis_intersection(S5, S5.canonical_class(Root5(6, 0)), S5.canonical_class(Root5(2, 2))),
             C.density_check(Z, [cz(720)]),
             C.dense_open_check(zfrag(12)),

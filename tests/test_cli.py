@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from divtop import cli
 from divtop.cli import main
+from divtop.topology import build_fragment
 
 
 def run(capsys, *argv):
@@ -186,6 +188,45 @@ def test_primes_bad_count(capsys):
 def test_parameter_errors_exit_2(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2 and "error:" in err
+
+
+@pytest.mark.parametrize(
+    "ring, seed",
+    [
+        ("z", "7" * 5000),
+        ("gauss", "1+" + "7" * 5000 + "i"),
+        ("valp", "p^" + "7" * 5000),
+    ],
+)
+def test_huge_integer_literal_exits_2(capsys, ring, seed):
+    # Python refuses to convert integer texts past its digit limit
+    p = ["--p", "2"] if ring == "valp" else []
+    code, out, err = run(capsys, "fragment", "--ring", ring, *p, "--seeds", seed)
+    assert code == 2 and out == ""
+    assert err == "error: integer literal of 5000 digits is too long to convert\n"
+
+
+def test_fp_degree_guard_at_parse(capsys):
+    code, _, err = run(capsys, "fragment", "--ring", "fp", "--p", "2", "--seeds", "x^2000000")
+    assert code == 2
+    assert err == "error: degree 2000000 exceeds the fp bound 12\n"
+
+
+@pytest.mark.parametrize(
+    "props, builds",
+    [("t0,isolated,nested,dense-open,maximal", 1), ("t1,density,chain", 0)],
+)
+def test_check_builds_the_seed_fragment_once(capsys, monkeypatch, props, builds):
+    calls = []
+
+    def counted(ring, seeds):
+        calls.append(seeds)
+        return build_fragment(ring, seeds)
+
+    monkeypatch.setattr(cli, "build_fragment", counted)
+    code, _, _ = run(capsys, "check", "--ring", "z", "--seeds", "12", "--props", props)
+    assert code == 0
+    assert len(calls) == builds
 
 
 @pytest.mark.parametrize(

@@ -5,10 +5,10 @@ import random
 import re
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from divtop.errors import DivtopError, ElementSyntaxError, ModulusMissing
+from divtop.errors import DivtopError, ElementSyntaxError, ModulusMissing, SizeGuard
 from divtop.formats import (
     fragment_from_json,
     fragment_to_dot,
@@ -74,6 +74,14 @@ def test_parse_poly():
     assert exc.value.position == 2
 
 
+def test_parse_poly_degree_guard():
+    with pytest.raises(SizeGuard, match="degree 13 exceeds the fp bound 12"):
+        F2.parse("x^13+x")
+    # repeated powers add up mod p before the guard reads the degree
+    assert F5.parse("5x^20+x") == Poly(5, (0, 1))
+    assert F2.parse("x^40+x^40+x") == Poly(2, (0, 1))
+
+
 def test_parse_valp():
     assert V2.parse("p^4") == PPow(2, 4)
     assert V2.parse("p") == PPow(2, 1)
@@ -82,6 +90,8 @@ def test_parse_valp():
         V2.parse("6")
     with pytest.raises(ElementSyntaxError):
         V2.parse("q^2")
+    with pytest.raises(ElementSyntaxError):
+        V2.parse("²")  # a digit to str.isdigit, but not to int()
 
 
 def _grammar(term: str):
@@ -128,12 +138,31 @@ def test_zs5_grammar(text):
 @example("x^ 2")
 @example("x ^2")
 @example("x^2 + 2x - 1")
+@example("x^13")
+@example("5x^13+x")  # the top term vanishes mod 5
+@example("x^999999999")
 @settings(max_examples=300)
 def test_fp_grammar(text):
-    # exponents stay below four digits: parse builds the dense coefficient
-    # list before any degree guard, so x^999999999 would allocate gigabytes
-    assume(all(len(k) < 4 for k in re.findall(r"\^([0-9]+)", text)))
-    _check_grammar(F5, _grammar(r"[0-9]+|[0-9]*x(?:\^[0-9]+)?"), text)
+    grammar = _grammar(r"[0-9]+|[0-9]*x(?:\^[0-9]+)?")
+    try:
+        _check_grammar(F5, grammar, text)
+    except SizeGuard:
+        assert grammar.fullmatch(text)
+        assert _fp_reference_degree(F5, text) > F5.DEG_MAX
+    else:
+        if grammar.fullmatch(text):
+            assert _fp_reference_degree(F5, text) <= F5.DEG_MAX
+
+
+def _fp_reference_degree(ring, text) -> int:
+    """Top power with a nonzero coefficient mod p of a grammatical fp text."""
+    coeffs = {}
+    flat = text.replace(" ", "").replace("−", "-")
+    for sign, digits, x, exp in re.findall(r"([+-]?)([0-9]*)(x?)(?:\^([0-9]+))?", flat):
+        if digits or x:
+            power = int(exp) if exp else int(bool(x))
+            coeffs[power] = coeffs.get(power, 0) + int(sign + (digits or "1"))
+    return max((k for k, c in coeffs.items() if c % ring.p), default=0)
 
 
 def test_parse_error_positions_index_the_text():
@@ -271,7 +300,7 @@ def test_report_schema():
 
 
 def test_report_nested_fails_witnesses():
-    doc = json.loads(report_to_json(C.check_nested(Z, [Z.canonical_class(6)])))
+    doc = json.loads(report_to_json(C.check_nested(build_fragment(Z, [Z.canonical_class(6)]))))
     assert doc["verdict"] == "fails"
     assert doc["witnesses"] == ["2", "3"]
 

@@ -18,6 +18,7 @@ from divtop.errors import (
 from divtop.rings import Gauss, PPow, Root5, make_ring
 
 from oracles import divisor_classes_oracle, int_divisors, int_is_prime
+from strategies import RING_ELEMENTS
 
 Z = make_ring("z")
 G = make_ring("gauss")
@@ -155,46 +156,6 @@ def test_divisor_classes_zs5_6():
 def test_divisor_classes_valp():
     got = {c.text for c in V2.divisor_classes(PPow(2, 3))}
     assert got == {"p", "p^2", "p^3"}
-
-
-def _ring_elements(ring, generic, pool, max_atoms):
-    """(ring, element) pairs: one generic element, or a product of pool
-    atoms, which repeats an irreducible factor whenever an atom repeats."""
-    products = st.lists(st.sampled_from(pool), min_size=1, max_size=max_atoms).map(
-        ring.product
-    )
-    return (
-        st.one_of(generic, products)
-        .filter(lambda e: not ring.is_zero(e) and not ring.is_unit(e))
-        .map(lambda e: (ring, e))
-    )
-
-
-RING_ELEMENTS = st.one_of(
-    _ring_elements(Z, st.integers(-400, 400), [2, 3, -2, 5, 6, 9, 10], 5),
-    _ring_elements(
-        G,
-        st.builds(Gauss, st.integers(-9, 9), st.integers(-9, 9)),
-        [Gauss(1, 1), Gauss(0, 1), Gauss(3, 0), Gauss(2, 1), Gauss(1, 2), Gauss(3, 1)],
-        4,
-    ),
-    _ring_elements(
-        S5,
-        st.builds(Root5, st.integers(-9, 9), st.integers(-4, 4)),
-        [Root5(2, 0), Root5(3, 0), Root5(1, 1), Root5(1, -1), Root5(-1, 0), Root5(2, 1)],
-        4,
-    ),
-    *(
-        _ring_elements(
-            ring,
-            st.lists(st.integers(0, ring.p - 1), min_size=2, max_size=5).map(ring.poly),
-            [ring.parse(t) for t in ("x", "x+1", "2x+1", "x^2+1", "x^2+x+1")],
-            4,
-        )
-        for ring in (F2, F3)
-    ),
-    _ring_elements(V3, st.integers(1, 12).map(V3.element), [V3.element(1), V3.element(2)], 6),
-)
 
 
 @given(RING_ELEMENTS)

@@ -3,7 +3,9 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
 
+from divtop import checks as C
 from divtop.errors import (
     EmptyFamily,
     FragmentMismatch,
@@ -14,7 +16,8 @@ from divtop.errors import (
 from divtop.rings import Gauss, PPow, Root5, make_ring
 from divtop.topology import build_fragment
 
-from oracles import down_sets_oracle
+from oracles import covering_pairs_oracle, divisibility_oracle, down_sets_oracle
+from strategies import RING_SEEDS
 
 Z = make_ring("z")
 G = make_ring("gauss")
@@ -75,6 +78,67 @@ def test_build_fragment_valp_chain():
 def test_build_fragment_zs5_6():
     f = build_fragment(S5, [S5.canonical_class(Root5(6, 0))])
     assert {p.text for p in f.points} == {"1+1s", "1-1s", "2", "3", "6"}
+
+
+@given(RING_SEEDS)
+@example((S5, [S5.canonical_class(Root5(6, 0)), S5.canonical_class(Root5(2, 2))]))
+@example((Z, [Z.canonical_class(12), Z.canonical_class(18), Z.canonical_class(35)]))
+@example((G, [G.canonical_class(Gauss(2, 0)), G.canonical_class(Gauss(5, 0))]))
+@settings(max_examples=150, deadline=None)
+def test_build_matches_pairwise_oracle(ring_seeds):
+    # the irreducible-step build against the n^2 divides matrix, on all five
+    # rings, multi-seed unions and the non-UFD zs5 included
+    ring, seeds = ring_seeds
+    f = build_fragment(ring, seeds)
+    cols, rows = divisibility_oracle(ring, f.points)
+    assert f._cols == cols
+    assert f._rows == rows
+    assert set(f.covering_pairs()) == covering_pairs_oracle(cols, rows)
+    assert f.covering_pairs() == sorted(f.covering_pairs())
+
+
+@pytest.mark.parametrize(
+    "ring, seed",
+    [
+        (Z, 720720),
+        (G, Gauss(60, 0)),
+        (F2, F2.parse("x^8+x^7+x^3+x")),
+        (S5, Root5(6, 0)),
+        (V2, PPow(2, 64)),
+    ],
+)
+def test_build_divide_calls_bounded(monkeypatch, ring, seed):
+    # the matrix costs at most n * (#isolated points) exact divisions; the
+    # divisor enumeration runs once alone and once inside the build
+    seed = ring.canonical_class(seed)
+    calls = []
+    divide = ring.divide
+    monkeypatch.setattr(ring, "divide", lambda numer, denom: calls.append(1) or divide(numer, denom))
+    ring.divisor_classes(seed.rep)
+    enumeration = len(calls)
+    f = build_fragment(ring, [seed])
+    isolated = sum(1 for c in f._cols if c.bit_count() == 1)
+    assert len(calls) - 2 * enumeration <= len(f) * isolated
+
+
+def test_baseline_z_97772875200_build_t0_nested():
+    f = zfrag(97772875200)
+    assert len(f) == 4031
+    assert C.check_t0(f).verdict == "holds"
+    assert C.check_nested(f).verdict == "fails"
+
+
+def test_baseline_valp_p4000_build_t0_nested():
+    f = build_fragment(V2, [V2.canonical_class(PPow(2, 4000))])
+    assert len(f) == 4000
+    assert C.check_t0(f).verdict == "holds"
+    assert C.check_nested(f).verdict == "holds"
+
+
+def test_baseline_gauss_720720_build():
+    f = build_fragment(G, [G.canonical_class(Gauss(720720, 0))])
+    assert len(f) == 1727
+    assert len(f.covering_pairs()) > len(f)
 
 
 def test_build_fragment_validation():
