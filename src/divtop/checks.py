@@ -335,7 +335,8 @@ def non_regular_witness(ring: Ring, a: ClassId) -> CheckReport:
     fragment = build_fragment(ring, [a2])
     singleton = fragment.point_set([a])
     cl = fragment.closure(singleton)
-    not_closed = not fragment.is_closed(singleton) and a2 in cl
+    closed = fragment.is_closed(singleton)
+    not_closed = not closed and a2 in cl
     verdict = WITNESS if not_closed else FAILS
     return CheckReport(
         "regular",
@@ -343,7 +344,7 @@ def non_regular_witness(ring: Ring, a: ClassId) -> CheckReport:
         (a, a2),
         {
             "closure_of_singleton": _texts(cl),
-            "singleton_closed": fragment.is_closed(singleton),
+            "singleton_closed": closed,
         },
     )
 

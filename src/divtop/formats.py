@@ -1,4 +1,4 @@
-"""Element parsing, fragment/report serialization, and DOT export.
+"""Fragment, report and prime-list JSON (with the fragment read-back), and DOT export.
 
 JSON documents carry the schema tag "divtop/1", fixed key order, and points
 in fragment order, so identical inputs always serialize to identical bytes.
@@ -12,8 +12,8 @@ import json
 
 from .checks import CheckReport
 from .errors import DivtopError
-from .rings import ClassId, Ring, make_ring
-from .topology import Fragment, PointSet, build_fragment
+from .rings import Ring, make_ring
+from .topology import Fragment, build_fragment
 
 SCHEMA = "divtop/1"
 
@@ -35,9 +35,7 @@ def _dumps(doc) -> str:
 
 def fragment_to_json(fragment: Fragment) -> str:
     texts = [p.text for p in fragment.points]
-    edges = [
-        [texts[i], texts[j]] for i, j in sorted(fragment.covering_pairs())
-    ]
+    edges = [[texts[i], texts[j]] for i, j in fragment.covering_pairs()]
     doc = {
         "schema": SCHEMA,
         "ring": ring_descriptor(fragment.ring),
@@ -72,22 +70,10 @@ def fragment_to_dot(fragment: Fragment) -> str:
     for rank in sorted(by_rank):
         row = " ".join(f'"{t}";' for t in by_rank[rank])
         lines.append(f"  {{ rank=same; {row} }}")
-    for i, j in sorted(fragment.covering_pairs()):
+    for i, j in fragment.covering_pairs():
         lines.append(f'  "{texts[i]}" -> "{texts[j]}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def _plain(value):
-    if isinstance(value, ClassId):
-        return value.text
-    if isinstance(value, PointSet):
-        return list(value.texts())
-    if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    return value
 
 
 def report_to_json(report: CheckReport) -> str:
@@ -95,7 +81,7 @@ def report_to_json(report: CheckReport) -> str:
         "check": report.check,
         "verdict": report.verdict,
         "witnesses": [w.text for w in report.witnesses],
-        "details": _plain(dict(report.details)),
+        "details": dict(report.details),
     }
     return _dumps(doc)
 

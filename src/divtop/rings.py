@@ -222,8 +222,11 @@ class Ring:
     """Uniform surface over one integral domain.
 
     Subclasses provide the element-level primitives (arithmetic, canonical
-    associate, exact division, factoring); divisor enumeration, class-level
-    operations and their argument validation live here.
+    associate, exact division) and a factoring hook: either ``_factor_reps``
+    or ``_smallest_divisor``, which the default ``_factor_reps`` peels off.
+    Rings with gcd supply ``_rem`` for the Euclid loop in ``_gcd``, or their
+    own ``_gcd``.  Divisor enumeration, class-level operations and their
+    argument validation live here.
     """
 
     tag: str = ""
@@ -287,7 +290,20 @@ class Ring:
         raise NotImplementedError
 
     def _factor_reps(self, a) -> tuple:
-        """Canonical irreducible factors of a, with multiplicity."""
+        """Canonical irreducible factors of a, with multiplicity.
+
+        In an atomic domain the smallest proper divisor is irreducible, so
+        splitting it off until none is left factors a."""
+        out = []
+        rest = self.canonical(a)
+        while (f := self._smallest_divisor(rest)) is not None:
+            out.append(f)
+            rest = self.canonical(self.divide(rest, f))
+        out.append(rest)
+        return tuple(out)
+
+    def _smallest_divisor(self, a):
+        """Least proper non-unit divisor of canonical a, None when a is irreducible."""
         raise NotImplementedError
 
     def _divisor_reps(self, a) -> set:
@@ -311,8 +327,14 @@ class Ring:
     def _irreducible(self, a) -> bool:
         return len(self._factor_reps(a)) == 1
 
+    def _rem(self, a, b):
+        """Euclidean remainder of a by nonzero b."""
+        raise NotImplementedError
+
     def _gcd(self, a, b):
-        raise CapabilityMissing(f"{self.name} has no gcd")
+        while not self.is_zero(b):
+            a, b = b, self._rem(a, b)
+        return a
 
     # -- shared derived operations ------------------------------------------
 
@@ -323,8 +345,12 @@ class Ring:
             raise UnitElement(f"{self.fmt(e)} is a unit of {self.name}")
 
     def _class(self, rep) -> ClassId:
-        # rep must already be canonical
-        return ClassId(self.name, rep, self.fmt(rep))
+        # rep must already be canonical; Python refuses to print huge ints
+        try:
+            text = self.fmt(rep)
+        except ValueError:
+            raise SizeGuard(f"a {self.name} representative is too long to print") from None
+        return ClassId(self.name, rep, text)
 
     def canonical_class(self, e) -> ClassId:
         self._require_operand(e)
@@ -491,9 +517,6 @@ class GaussianRing(Ring):
     def add(self, a, b):
         return Gauss(a.re + b.re, a.im + b.im)
 
-    def neg(self, e):
-        return Gauss(-e.re, -e.im)
-
     def canonical(self, e):
         for u in self.units():
             c = self.mul(u, e)
@@ -526,25 +549,20 @@ class GaussianRing(Ring):
         # nearest integer, ties toward +inf; remainder stays within b/2
         return (2 * a + b) // (2 * b)
 
-    def _euclid(self, a, b):
-        while not self.is_zero(b):
-            n = b.norm
-            t = self.mul(a, b.conj())
-            q = Gauss(self._round_div(t.re, n), self._round_div(t.im, n))
-            a, b = b, self.add(a, self.neg(self.mul(q, b)))
-        return a
-
-    def _gcd(self, a, b):
-        return self._euclid(a, b)
+    def _rem(self, a, b):
+        n = b.norm
+        t = self.mul(a, b.conj())
+        qb = self.mul(Gauss(self._round_div(t.re, n), self._round_div(t.im, n)), b)
+        return Gauss(a.re - qb.re, a.im - qb.im)
 
     def _guard(self, a) -> None:
         if a.norm > self.NORM_MAX:
-            raise SizeGuard(f"norm {a.norm} exceeds the gauss bound {self.NORM_MAX}")
+            raise SizeGuard(f"the norm of {self.fmt(a)} exceeds the gauss bound {self.NORM_MAX}")
 
     def _prime_above(self, p: int):
         # p = 1 mod 4 splits; gcd with a square root of -1 finds one factor
         r = int(sqrt_mod(-1, p))
-        return self.canonical(self._euclid(Gauss(p, 0), Gauss(r, 1)))
+        return self.canonical(self._gcd(Gauss(p, 0), Gauss(r, 1)))
 
     def _factor_reps(self, a):
         self._guard(a)
@@ -702,37 +720,19 @@ class PolynomialRing(Ring):
             yield Poly(self.p, tuple(coeffs) + (1,))
 
     def _smallest_divisor(self, a):
-        # first monic proper divisor by (degree, counting order); the first
-        # hit is automatically irreducible
+        # first monic proper divisor by (degree, counting order)
+        self._guard(a.degree)
         for d in range(1, a.degree // 2 + 1):
             for cand in self._monics(d):
                 if self.divide(a, cand) is not None:
                     return cand
         return None
 
-    def _factor_reps(self, a):
-        self._guard(a.degree)
-        rest = self.canonical(a)
-        out = []
-        while True:
-            f = self._smallest_divisor(rest)
-            if f is None:
-                out.append(rest)
-                return tuple(out)
-            out.append(f)
-            rest = self.canonical(self.divide(rest, f))
-            if self.is_unit(rest):
-                return tuple(out)
-
     def _irreducible(self, a) -> bool:
-        self._guard(a.degree)
-        return a.degree >= 1 and self._smallest_divisor(self.canonical(a)) is None
+        return self._smallest_divisor(self.canonical(a)) is None
 
-    def _gcd(self, a, b):
-        while not self.is_zero(b):
-            _, r = self.divmod(a, b)
-            a, b = b, r
-        return a
+    def _rem(self, a, b):
+        return self.divmod(a, b)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -800,7 +800,7 @@ class RootMinus5Ring(Ring):
 
     def _guard(self, a) -> None:
         if a.norm > self.NORM_MAX:
-            raise SizeGuard(f"norm {a.norm} exceeds the zs5 bound {self.NORM_MAX}")
+            raise SizeGuard(f"the norm of {self.fmt(a)} exceeds the zs5 bound {self.NORM_MAX}")
 
     @staticmethod
     def _norm_solutions(d: int):
@@ -832,23 +832,11 @@ class RootMinus5Ring(Ring):
                         reps.add(self.canonical(c))
         return reps
 
-    def _irreducible(self, a) -> bool:
-        return self._divisor_reps(a) == {self.canonical(a)}
+    def _smallest_divisor(self, a):
+        return min(self._divisor_reps(a) - {a}, key=self.sort_key, default=None)
 
-    def _factor_reps(self, a):
-        out = []
-        rest = self.canonical(a)
-        while True:
-            reps = self._divisor_reps(rest)
-            proper = [r for r in reps if r != rest]
-            if not proper:
-                out.append(rest)
-                return tuple(out)
-            f = min(proper, key=self.sort_key)
-            out.append(f)
-            rest = self.canonical(self.divide(rest, f))
-            if self.is_unit(rest):
-                return tuple(out)
+    def _irreducible(self, a) -> bool:
+        return self._smallest_divisor(self.canonical(a)) is None
 
 
 # ---------------------------------------------------------------------------

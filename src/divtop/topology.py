@@ -214,7 +214,7 @@ class Fragment:
             yield PointSet(self, bits)
 
     def covering_pairs(self) -> list:
-        """Transitive reduction of the divisibility relation, as index pairs."""
+        """Transitive reduction of the divisibility relation, as sorted index pairs."""
         return list(self._covers)
 
 

@@ -206,6 +206,52 @@ def test_huge_integer_literal_exits_2(capsys, ring, seed):
     assert err == "error: integer literal of 5000 digits is too long to convert\n"
 
 
+def test_valp_exponent_guard_at_parse(capsys):
+    code, _, err = run(capsys, "fragment", "--ring", "valp", "--p", "2", "--seeds", "p^4097")
+    assert code == 2
+    assert err == "error: exponent 4097 exceeds the valp bound 4096\n"
+
+
+def test_empty_seed_exits_2(capsys):
+    code, out, err = run(capsys, "fragment", "--ring", "z", "--seeds", "6,,")
+    assert code == 2 and out == ""
+    assert err == "error: empty seed in --seeds\n"
+
+
+SEVENS = "7" * 3000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--ring", "z", "--seeds", "7", "--props", "chain", "--n", "6000"),
+        ("--ring", "z", "--seeds", SEVENS, "--props", "t1"),
+        ("--ring", "gauss", "--seeds", SEVENS + "i", "--props", "regular"),
+    ],
+)
+def test_representative_too_long_to_print_exits_2(capsys, argv):
+    # a power or product past Python's 4300-digit int-to-text limit
+    code, out, err = run(capsys, "check", *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: a {argv[1]} representative is too long to print\n"
+
+
+@pytest.mark.parametrize(
+    "ring, seed, shown, bound",
+    [
+        # the guard names the canonical associate: -i * (7...7)i = 7...7
+        ("gauss", SEVENS + "i", SEVENS, 10**18),
+        ("zs5", SEVENS + "s", SEVENS + "s", 10**8),
+    ],
+    ids=["gauss", "zs5"],
+)
+def test_norm_guard_names_the_element(capsys, ring, seed, shown, bound):
+    # the 6000-digit norm itself is past Python's int-to-text limit
+    code, out, err = run(capsys, "fragment", "--ring", ring, "--seeds", seed)
+    assert code == 2 and out == ""
+    assert err == f"error: the norm of {shown} exceeds the {ring} bound {bound}\n"
+
+
 def test_fp_degree_guard_at_parse(capsys):
     code, _, err = run(capsys, "fragment", "--ring", "fp", "--p", "2", "--seeds", "x^2000000")
     assert code == 2

@@ -82,6 +82,12 @@ def test_parse_poly_degree_guard():
     assert F2.parse("x^40+x^40+x") == Poly(2, (0, 1))
 
 
+def test_parse_valp_exponent_guard():
+    with pytest.raises(SizeGuard, match="exponent 4097 exceeds the valp bound 4096"):
+        make_ring("valp", 2).parse("p^4097")
+    assert make_ring("valp", 2).parse("p^4096") == PPow(2, 4096)
+
+
 def test_parse_valp():
     assert V2.parse("p^4") == PPow(2, 4)
     assert V2.parse("p") == PPow(2, 1)

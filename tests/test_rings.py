@@ -18,7 +18,7 @@ from divtop.errors import (
 from divtop.rings import Gauss, PPow, Root5, make_ring
 
 from oracles import divisor_classes_oracle, int_divisors, int_is_prime
-from strategies import RING_ELEMENTS
+from strategies import ELEMENTS, RING_ELEMENTS
 
 Z = make_ring("z")
 G = make_ring("gauss")
@@ -275,6 +275,29 @@ def test_factor_deterministic():
     assert S5.factor(a) == S5.factor(Root5(-2, -4))
 
 
+@given(RING_ELEMENTS)
+@example((S5, Root5(6, 6)))
+@example((F3, F3.parse("x^6+2x^5+x^4")))  # x^4 (x+1)^2
+@settings(max_examples=100, deadline=None)
+def test_factor_against_oracle(ring_elem):
+    # each factor has no proper divisor class, the product is e's class, and
+    # the least factor is e's least proper divisor class (the first one peeled)
+    ring, e = ring_elem
+    factors = ring.factor(e)
+    for c in factors:
+        assert divisor_classes_oracle(ring, c.rep) == {c}
+    assert ring.canonical_class(ring.product(c.rep for c in factors)) == ring.canonical_class(e)
+    proper = divisor_classes_oracle(ring, e) - {ring.canonical_class(e)}
+    if proper:
+        assert factors[0] == min(proper, key=ring.class_sort_key)
+
+
+def test_fp_factor_guards():
+    for op in (F2.factor, F2.is_irreducible):
+        with pytest.raises(SizeGuard, match="degree 13 exceeds the fp bound 12"):
+            op(F2.poly([1] * 14))
+
+
 # ---------------------------------------------------------------------------
 # gcd / lcm
 
@@ -289,6 +312,25 @@ def test_gcd_examples():
 def test_gcd_missing_on_zs5():
     with pytest.raises(CapabilityMissing):
         S5.gcd_class(Root5(6, 0), Root5(2, 2))
+
+
+def test_lcm_missing_on_zs5():
+    with pytest.raises(CapabilityMissing, match="zs5 has no gcd"):
+        S5.lcm_class(Root5(6, 0), Root5(2, 2))
+
+
+@given(
+    st.sampled_from([G, F2, F3]).flatmap(
+        lambda ring: st.tuples(st.just(ring), ELEMENTS[ring], ELEMENTS[ring])
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_euclidean_gcd_against_oracle(ring_a_b):
+    # the gcd's divisor classes are exactly the common divisor classes
+    ring, a, b = ring_a_b
+    g = ring.gcd_class(a, b)
+    common = divisor_classes_oracle(ring, a) & divisor_classes_oracle(ring, b)
+    assert (set() if g is None else divisor_classes_oracle(ring, g.rep)) == common
 
 
 def test_lcm_examples():
