@@ -114,15 +114,25 @@ def t1_failure_witness(ring: Ring, a: ClassId) -> CheckReport:
     )
 
 
+def _irreducible_point(fragment: Fragment, j: int) -> bool:
+    # another divisor u in the column with v/u a non-unit proves v = u * (v/u)
+    # reducible by one exact division; only the rest go to the ring's test
+    ring, v = fragment.ring, fragment.points[j].rep
+    others = fragment._cols[j] & ~(1 << j)
+    w = ring.divide(v, fragment.points[(others & -others).bit_length() - 1].rep) if others else None
+    return (w is None or ring.is_unit(w)) and ring.is_irreducible(v)
+
+
 def isolated_points(fragment: Fragment) -> CheckReport:
     """Points whose basic open is a singleton; must coincide with the
     irreducible representatives."""
-    isolated = tuple(p for p in fragment.points if len(fragment.basic_open(p)) == 1)
-    irred = tuple(p for p in fragment.points if fragment.ring.is_irreducible(p.rep))
+    pts = fragment.points
+    isolated = tuple(p for p, col in zip(pts, fragment._cols) if col.bit_count() == 1)
+    irred = tuple(p for j, p in enumerate(pts) if _irreducible_point(fragment, j))
     match = isolated == irred
     # on a mismatch the symmetric difference is the witness (in point order)
     diff = set(isolated) ^ set(irred)
-    witnesses = isolated if match else tuple(p for p in fragment.points if p in diff)
+    witnesses = isolated if match else tuple(p for p in pts if p in diff)
     return CheckReport(
         "isolated",
         HOLDS if match else FAILS,

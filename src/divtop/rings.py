@@ -27,6 +27,8 @@ from typing import Iterable, Optional
 
 from sympy import factorint, isprime
 from sympy.ntheory.residue_ntheory import sqrt_mod
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_factor, gf_irreducible_p
 
 from .errors import (
     CapabilityMissing,
@@ -222,8 +224,7 @@ class Ring:
     """Uniform surface over one integral domain.
 
     Subclasses provide the element-level primitives (arithmetic, canonical
-    associate, exact division) and a factoring hook: either ``_factor_reps``
-    or ``_smallest_divisor``, which the default ``_factor_reps`` peels off.
+    associate, exact division) and the factoring hook ``_factor_reps``.
     Rings with gcd supply ``_rem`` for the Euclid loop in ``_gcd``, or their
     own ``_gcd``.  Divisor enumeration, class-level operations and their
     argument validation live here.
@@ -290,20 +291,7 @@ class Ring:
         raise NotImplementedError
 
     def _factor_reps(self, a) -> tuple:
-        """Canonical irreducible factors of a, with multiplicity.
-
-        In an atomic domain the smallest proper divisor is irreducible, so
-        splitting it off until none is left factors a."""
-        out = []
-        rest = self.canonical(a)
-        while (f := self._smallest_divisor(rest)) is not None:
-            out.append(f)
-            rest = self.canonical(self.divide(rest, f))
-        out.append(rest)
-        return tuple(out)
-
-    def _smallest_divisor(self, a):
-        """Least proper non-unit divisor of canonical a, None when a is irreducible."""
+        """Canonical irreducible factors of a, with multiplicity."""
         raise NotImplementedError
 
     def _divisor_reps(self, a) -> set:
@@ -595,7 +583,7 @@ class PolynomialRing(Ring):
     tag = "fp"
 
     P_MAX = 17
-    DEG_MAX = 12  # bound for trial-division enumeration
+    DEG_MAX = 12  # caps divisor enumeration; larger degrees exit 2
 
     def __init__(self, p: int):
         if not isprime(p) or p > self.P_MAX:
@@ -709,27 +697,15 @@ class PolynomialRing(Ring):
         if degree > self.DEG_MAX:
             raise SizeGuard(f"degree {degree} exceeds the fp bound {self.DEG_MAX}")
 
-    def _monics(self, d: int):
-        # every monic polynomial of degree exactly d, in counting order
-        for n in range(self.p**d):
-            coeffs = []
-            v = n
-            for _ in range(d):
-                v, c = divmod(v, self.p)
-                coeffs.append(c)
-            yield Poly(self.p, tuple(coeffs) + (1,))
-
-    def _smallest_divisor(self, a):
-        # first monic proper divisor by (degree, counting order)
+    def _factor_reps(self, a):
+        # sympy's dense lists run high degree first, and its ZZ may be gmpy's mpz
         self._guard(a.degree)
-        for d in range(1, a.degree // 2 + 1):
-            for cand in self._monics(d):
-                if self.divide(a, cand) is not None:
-                    return cand
-        return None
+        _, factors = gf_factor(list(reversed(a.coeffs)), self.p, ZZ)
+        return tuple(Poly(self.p, tuple(map(int, f[::-1]))) for f, k in factors for _ in range(k))
 
     def _irreducible(self, a) -> bool:
-        return self._smallest_divisor(self.canonical(a)) is None
+        self._guard(a.degree)
+        return gf_irreducible_p(list(reversed(a.coeffs)), self.p, ZZ)
 
     def _rem(self, a, b):
         return self.divmod(a, b)[1]
@@ -833,7 +809,19 @@ class RootMinus5Ring(Ring):
         return reps
 
     def _smallest_divisor(self, a):
+        # least proper divisor of canonical a, None when a is irreducible
         return min(self._divisor_reps(a) - {a}, key=self.sort_key, default=None)
+
+    def _factor_reps(self, a):
+        # not a UFD, so peel: in an atomic domain the least proper divisor is
+        # irreducible, and splitting it off until none is left factors a
+        out = []
+        rest = self.canonical(a)
+        while (f := self._smallest_divisor(rest)) is not None:
+            out.append(f)
+            rest = self.canonical(self.divide(rest, f))
+        out.append(rest)
+        return tuple(out)
 
     def _irreducible(self, a) -> bool:
         return self._smallest_divisor(self.canonical(a)) is None

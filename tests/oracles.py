@@ -2,9 +2,11 @@
 
 Divisor sets come from raw range scans and direct exact-division tests, never
 from the adapters' factor-and-combine or norm-equation machinery, so these
-stay meaningful as cross-checks.  The n^2 divides matrix and the pairwise T0
-and nestedness loops are the library's earlier implementations, kept as
-references for the irreducible-step build and the O(n) checks.
+stay meaningful as cross-checks.  The n^2 divides matrix, the pairwise T0
+and nestedness loops, the per-point isolated check and the fp trial-division
+factorizer are the library's earlier implementations, kept as references for
+the irreducible-step build, the O(n) checks, the division certificates of
+``isolated_points`` and the finite-field factorizer.
 """
 
 from math import isqrt
@@ -52,20 +54,67 @@ def zs5_divisor_classes(ring, a) -> set:
     return out
 
 
+def monics(p: int, d: int):
+    """Every monic polynomial of degree exactly d over F_p, in counting order."""
+    for n in range(p**d):
+        coeffs = []
+        v = n
+        for _ in range(d):
+            v, c = divmod(v, p)
+            coeffs.append(c)
+        yield Poly(p, tuple(coeffs) + (1,))
+
+
 def poly_divisor_classes(ring, a) -> set:
-    p = ring.p
     out = set()
     for deg in range(1, a.degree + 1):
-        for n in range(p**deg):
-            coeffs = []
-            v = n
-            for _ in range(deg):
-                v, c = divmod(v, p)
-                coeffs.append(c)
-            cand = Poly(p, tuple(coeffs) + (1,))
+        for cand in monics(ring.p, deg):
             if ring.divide(a, cand) is not None:
                 out.add(ring.canonical_class(cand))
     return out
+
+
+def fp_trial_factor(ring, a) -> list:
+    """Monic irreducible factors of a, sorted, by peeling off the first monic
+    proper divisor in (degree, counting) order: the library's earlier
+    trial-division factorizer."""
+    out = []
+    rest = ring.canonical(a)
+    while True:
+        cands = (c for d in range(1, rest.degree // 2 + 1) for c in monics(ring.p, d))
+        f = next((c for c in cands if ring.divide(rest, c) is not None), None)
+        if f is None:
+            break
+        out.append(f)
+        rest = ring.canonical(ring.divide(rest, f))
+    out.append(rest)
+    return sorted(out, key=ring.sort_key)
+
+
+def fp_rabin_irreducible(ring, f) -> bool:
+    """Rabin's test on the adapter's own arithmetic: f of degree n is
+    irreducible iff x^(p^n) = x mod f and gcd(x^(p^(n/q)) - x, f) is a unit
+    for every prime q dividing n."""
+    n = f.degree
+    x = ring.divmod(ring.poly([0, 1]), f)[1]
+
+    def frobenius(h):  # h^p mod f by square and multiply
+        out, base, e = ring.one(), h, ring.p
+        while e:
+            if e & 1:
+                out = ring.divmod(ring.mul(out, base), f)[1]
+            base, e = ring.divmod(ring.mul(base, base), f)[1], e >> 1
+        return out
+
+    powers = [x]  # powers[k] = x^(p^k) mod f
+    for _ in range(n):
+        powers.append(frobenius(powers[-1]))
+    minus_x = ring.poly([0, -1])
+    for q in (q for q in range(2, n + 1) if n % q == 0 and int_is_prime(q)):
+        g = ring._gcd(f, ring.add(powers[n // q], minus_x))
+        if not ring.is_unit(g):
+            return False
+    return powers[n] == x
 
 
 def divisor_classes_oracle(ring, a) -> set:
@@ -189,4 +238,24 @@ def nested_oracle(fragment) -> CheckReport:
                 )
     return CheckReport(
         "nested", HOLDS, (), {"points": len(pts), "ring_is_valuation": valuation}
+    )
+
+
+def isolated_oracle(fragment) -> CheckReport:
+    """isolated_points by asking the ring about every point."""
+    pts = fragment.points
+    isolated = tuple(p for p in pts if len(fragment.basic_open(p)) == 1)
+    irred = tuple(p for p in pts if fragment.ring.is_irreducible(p.rep))
+    match = isolated == irred
+    diff = set(isolated) ^ set(irred)
+    witnesses = isolated if match else tuple(p for p in pts if p in diff)
+    return CheckReport(
+        "isolated",
+        HOLDS if match else FAILS,
+        witnesses,
+        {
+            "isolated": [p.text for p in isolated],
+            "irreducible": [p.text for p in irred],
+            "match": match,
+        },
     )

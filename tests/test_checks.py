@@ -14,10 +14,10 @@ from divtop.errors import (
     NotIrreducible,
 )
 from divtop.formats import report_to_json
-from divtop.rings import Gauss, PPow, Root5, make_ring
+from divtop.rings import ClassId, Gauss, PPow, Root5, make_ring
 from divtop.topology import Fragment, build_fragment
 
-from oracles import nested_oracle, t0_oracle
+from oracles import isolated_oracle, nested_oracle, t0_oracle
 from strategies import RING_SEEDS
 
 Z = make_ring("z")
@@ -139,6 +139,56 @@ def test_isolated_equals_oracle_filter_all_adapters():
             if divisor_classes_oracle(f.ring, p.rep) == {p}
         )
         assert sorted(r.witness_texts()) == want
+
+
+@given(RING_SEEDS)
+@example((S5, [S5.canonical_class(Root5(6, 0)), S5.canonical_class(Root5(2, 2))]))
+@example((F3, [F3.canonical_class(F3.parse("x^6+2x^5+x^4"))]))
+@settings(max_examples=100, deadline=None)
+def test_isolated_matches_per_point_loop(ring_seeds):
+    ring, seeds = ring_seeds
+    f = build_fragment(ring, seeds)
+    assert report_to_json(C.isolated_points(f)) == report_to_json(isolated_oracle(f))
+
+
+def test_isolated_asks_the_ring_only_about_isolated_points(monkeypatch):
+    asked = []
+    for ring, seed in (
+        (Z, cz(720)),
+        (G, G.canonical_class(Gauss(6, 8))),
+        (F3, F3.canonical_class(F3.parse("x^6+2x^5+x^4"))),
+        (S5, S5.canonical_class(Root5(6, 0))),
+        (V2, V2.canonical_class(PPow(2, 9))),
+    ):
+        f = build_fragment(ring, [seed])
+        monkeypatch.setattr(ring, "is_irreducible", lambda a, ring=ring: asked.append(a) or True)
+        r = C.isolated_points(f)
+        monkeypatch.undo()
+        assert r.verdict == "holds"
+        assert asked == [p.rep for p, col in zip(f.points, f._cols) if col.bit_count() == 1]
+        asked.clear()
+
+
+@pytest.mark.parametrize(
+    "reps, cols, witnesses",
+    [
+        # the irreducible 3 with a bogus divisor bit for 2
+        ((2, 3, 6), (0b001, 0b011, 0b111), ["3"]),
+        # the reducible 6 with its column cleared
+        ((2, 3, 6), (0b001, 0b010, 0b100), ["6"]),
+        # two associated points in each other's column: a unit quotient proves nothing
+        ((3, -3), (0b11, 0b11), ["3", "-3"]),
+    ],
+)
+def test_isolated_fails_on_corrupted_columns(reps, cols, witnesses):
+    n = len(reps)
+    points = tuple(ClassId("z", r, str(r)) for r in reps)
+    rows = tuple(sum(1 << j for j in range(n) if cols[j] >> i & 1) for i in range(n))
+    f = Fragment(Z, points, cols, rows, (), points[-1:])
+    r = C.isolated_points(f)
+    assert r.verdict == "fails"
+    assert r.witness_texts() == witnesses
+    assert report_to_json(r) == report_to_json(isolated_oracle(f))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,14 @@
 """CLI behavior: outputs, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import divtop
 from divtop import cli
 from divtop.cli import main
 from divtop.topology import build_fragment
@@ -256,6 +261,19 @@ def test_fp_degree_guard_at_parse(capsys):
     code, _, err = run(capsys, "fragment", "--ring", "fp", "--p", "2", "--seeds", "x^2000000")
     assert code == 2
     assert err == "error: degree 2000000 exceeds the fp bound 12\n"
+
+
+def test_fp_degree_12_isolated_check_finishes():
+    # trial division over every monic took about 5 minutes on this input; a
+    # fresh process with a timeout fails the test instead of hanging the suite
+    env = {**os.environ, "PYTHONPATH": str(Path(divtop.__file__).parents[1])}
+    argv = ["check", "--ring", "fp", "--p", "17", "--seeds", "x^12+x+2", "--props", "isolated"]
+    code = "import sys; from divtop.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=30
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["verdict"] == "holds"
 
 
 @pytest.mark.parametrize(

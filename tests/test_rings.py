@@ -17,7 +17,13 @@ from divtop.errors import (
 )
 from divtop.rings import Gauss, PPow, Root5, make_ring
 
-from oracles import divisor_classes_oracle, int_divisors, int_is_prime
+from oracles import (
+    divisor_classes_oracle,
+    fp_rabin_irreducible,
+    fp_trial_factor,
+    int_divisors,
+    int_is_prime,
+)
 from strategies import ELEMENTS, RING_ELEMENTS
 
 Z = make_ring("z")
@@ -296,6 +302,61 @@ def test_fp_factor_guards():
     for op in (F2.factor, F2.is_irreducible):
         with pytest.raises(SizeGuard, match="degree 13 exceeds the fp bound 12"):
             op(F2.poly([1] * 14))
+
+
+FP_LARGE = tuple(make_ring("fp", p) for p in (5, 7, 13, 17))
+
+
+def _fp_elements(ring):
+    # a generic polynomial of degree <= 6, or a product of a few small atoms
+    # drawn with repetition, so square-free splitting has repeated factors
+    poly = st.lists(st.integers(0, ring.p - 1), min_size=2, max_size=4).map(ring.poly)
+    atoms = st.lists(poly, min_size=1, max_size=3)
+    products = atoms.flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=6)
+    ).map(ring.product)
+    generic = st.lists(st.integers(0, ring.p - 1), min_size=2, max_size=7).map(ring.poly)
+    return st.one_of(generic, products).filter(lambda e: 1 <= e.degree <= 6)
+
+
+FP_LARGE_ELEMENTS = st.one_of(
+    *(_fp_elements(ring).map(lambda e, ring=ring: (ring, e)) for ring in FP_LARGE)
+)
+
+
+@given(FP_LARGE_ELEMENTS)
+@example((FP_LARGE[0], FP_LARGE[0].parse("x^6+2x^5+x^4")))  # x^4 (x+1)^2 over F_5
+@example((FP_LARGE[3], FP_LARGE[3].parse("x^6+16x^3+1")))
+@settings(max_examples=150, deadline=None)
+def test_fp_factor_against_trial_division(ring_elem):
+    ring, e = ring_elem
+    state = random.getstate()
+    factors = ring.factor(e)
+    irreducible = ring.is_irreducible(e)
+    assert random.getstate() == state  # the adapters leave Python's generator alone
+    assert [c.rep for c in factors] == fp_trial_factor(ring, e)
+    assert irreducible == (len(factors) == 1)
+
+
+# x^12 + x + 2 is irreducible over F_17; trial division scanned about 2.6e7
+# monic candidates to show that
+F17 = make_ring("fp", 17)
+DEG12 = "x^12+x+2"
+
+
+def test_fp_degree_12_irreducible():
+    f = F17.parse(DEG12)
+    assert fp_rabin_irreducible(F17, f)
+    assert F17.is_irreducible(f)
+    assert [c.text for c in F17.factor(f)] == [DEG12]
+
+
+def test_fp_product_of_two_sextics():
+    g, h = F17.parse("x^6+2x+3"), F17.parse("x^6+x^3+2")
+    for f in (g, h):
+        assert fp_trial_factor(F17, f) == [f]
+    assert not F17.is_irreducible(F17.mul(g, h))
+    assert [c.rep for c in F17.factor(F17.mul(g, h))] == [g, h]
 
 
 # ---------------------------------------------------------------------------
