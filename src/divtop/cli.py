@@ -158,6 +158,8 @@ def cmd_check(args) -> int:
     ring = _ring_from_args(args)
     classes = _seed_classes(ring, args.seeds)
     props = [p.strip() for p in args.props.split(",") if p.strip()]
+    if not props:
+        raise UsageError("no prop given")
     for p in props:
         if p not in PROPS:
             raise UsageError(f"unknown prop {p!r}; choose from {', '.join(PROPS)}")

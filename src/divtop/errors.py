@@ -40,6 +40,9 @@ class SizeGuard(DivtopError):
 class FragmentTooLarge(DivtopError):
     """Fragment would exceed the global point cap."""
 
+    def __init__(self, points: int, cap: int):
+        super().__init__(f"{points} points exceeds the cap {cap}")
+
 
 class FragmentTooLargeForEnumeration(DivtopError):
     """Open-set enumeration requested on a fragment above the enumeration cap."""

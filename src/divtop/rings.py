@@ -25,14 +25,10 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Iterable, Optional
 
-from sympy import factorint, isprime
-from sympy.ntheory.residue_ntheory import sqrt_mod
-from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_factor, gf_irreducible_p
-
 from .errors import (
     CapabilityMissing,
     ElementSyntaxError,
+    FragmentTooLarge,
     ModulusMissing,
     NotAtomic,
     ParameterError,
@@ -42,6 +38,7 @@ from .errors import (
     ZeroDivisor,
     ZeroElement,
 )
+from .intarith import factor, is_prime, sqrt_minus_one
 
 # ---------------------------------------------------------------------------
 # capability metadata
@@ -165,6 +162,11 @@ def _int(literal: str) -> int:
     except ValueError:
         digits = len(literal.lstrip("+-"))
         raise SizeGuard(f"integer literal of {digits} digits is too long to convert") from None
+
+
+def _echo(n: int) -> str:
+    """n for an error message: its digits when short, else only its size."""
+    return str(n) if n.bit_length() <= 64 else f"an integer of {n.bit_length()} bits"
 
 
 def _parse_int(text: str) -> int:
@@ -294,14 +296,19 @@ class Ring:
         """Canonical irreducible factors of a, with multiplicity."""
         raise NotImplementedError
 
-    def _divisor_reps(self, a) -> set:
+    def _divisor_reps(self, a, cap: Optional[int] = None) -> set:
         """Canonical reps of every non-unit divisor class of a.
 
         In a UFD these are the products of sub-multisets of a's irreducible
-        factors."""
+        factors, so their number, prod(e + 1) - 1 over the factor exponents,
+        is known first, and more than ``cap`` raise before any is built.
+        Rings without unique factorization may ignore ``cap``."""
         counts = {}
         for f in self._factor_reps(a):
             counts[f] = counts.get(f, 0) + 1
+        total = math.prod(e + 1 for e in counts.values()) - 1
+        if cap is not None and total > cap:
+            raise FragmentTooLarge(total, cap)
         divs = [self.one()]
         for f, e in counts.items():
             step = []
@@ -349,9 +356,15 @@ class Ring:
             raise ZeroDivisor(f"zero divides nothing in {self.name}")
         return self.divide(b, a) is not None
 
-    def divisor_classes(self, a) -> frozenset:
+    def divisor_classes(self, a, cap: Optional[int] = None) -> frozenset:
+        """Every non-unit divisor class of a, a's own included.  More than
+        ``cap`` of them raise ``FragmentTooLarge``; in a UFD that happens
+        before they are listed."""
         self._require_operand(a)
-        return frozenset(self._class(r) for r in self._divisor_reps(a))
+        reps = self._divisor_reps(a, cap)
+        if cap is not None and len(reps) > cap:
+            raise FragmentTooLarge(len(reps), cap)
+        return frozenset(self._class(r) for r in reps)
 
     def is_irreducible(self, a) -> bool:
         self._require_operand(a)
@@ -455,17 +468,17 @@ class IntegerRing(Ring):
     def _factor_reps(self, a):
         self._guard(a, self.VALUE_MAX)
         out = []
-        for p, e in sorted(factorint(abs(a)).items()):
+        for p, e in factor(abs(a)).items():
             out.extend([p] * e)
         return tuple(out)
 
-    def _divisor_reps(self, a):
+    def _divisor_reps(self, a, cap=None):
         self._guard(a, self.ENUM_MAX)
-        return super()._divisor_reps(a)
+        return super()._divisor_reps(a, cap)
 
     def _irreducible(self, a) -> bool:
         self._guard(a, self.VALUE_MAX)
-        return bool(isprime(abs(a)))
+        return is_prime(abs(a))
 
     def _gcd(self, a, b):
         return math.gcd(a, b)
@@ -549,14 +562,14 @@ class GaussianRing(Ring):
 
     def _prime_above(self, p: int):
         # p = 1 mod 4 splits; gcd with a square root of -1 finds one factor
-        r = int(sqrt_mod(-1, p))
+        r = sqrt_minus_one(p)
         return self.canonical(self._gcd(Gauss(p, 0), Gauss(r, 1)))
 
     def _factor_reps(self, a):
         self._guard(a)
         out = []
         rest = a
-        for p, _ in sorted(factorint(a.norm).items()):
+        for p in factor(a.norm):
             if p == 2:
                 cands = [Gauss(1, 1)]
             elif p % 4 == 3:
@@ -586,8 +599,8 @@ class PolynomialRing(Ring):
     DEG_MAX = 12  # caps divisor enumeration; larger degrees exit 2
 
     def __init__(self, p: int):
-        if not isprime(p) or p > self.P_MAX:
-            raise ParameterError(f"fp modulus must be a prime <= {self.P_MAX}, got {p}")
+        if p > self.P_MAX or not is_prime(p):
+            raise ParameterError(f"fp modulus must be a prime <= {self.P_MAX}, got {_echo(p)}")
         self.p = p
         self.caps = Capabilities(
             has_gcd=True,
@@ -697,13 +710,22 @@ class PolynomialRing(Ring):
         if degree > self.DEG_MAX:
             raise SizeGuard(f"degree {degree} exceeds the fp bound {self.DEG_MAX}")
 
+    # sympy is imported in these two methods only: the import alone takes
+    # several times as long as a whole z, gauss, zs5 or valp run
+
     def _factor_reps(self, a):
         # sympy's dense lists run high degree first, and its ZZ may be gmpy's mpz
+        from sympy.polys.domains import ZZ
+        from sympy.polys.galoistools import gf_factor
+
         self._guard(a.degree)
         _, factors = gf_factor(list(reversed(a.coeffs)), self.p, ZZ)
         return tuple(Poly(self.p, tuple(map(int, f[::-1]))) for f, k in factors for _ in range(k))
 
     def _irreducible(self, a) -> bool:
+        from sympy.polys.domains import ZZ
+        from sympy.polys.galoistools import gf_irreducible_p
+
         self._guard(a.degree)
         return gf_irreducible_p(list(reversed(a.coeffs)), self.p, ZZ)
 
@@ -789,11 +811,11 @@ class RootMinus5Ring(Ring):
                 out.append((x, y))
         return out
 
-    def _divisor_reps(self, a):
+    def _divisor_reps(self, a, cap=None):
         self._guard(a)
         n = a.norm
         divs = [1]
-        for p, e in sorted(factorint(n).items()):
+        for p, e in factor(n).items():
             divs = [d * p**k for d in divs for k in range(e + 1)]
         reps = set()
         for d in divs:
@@ -835,10 +857,11 @@ class PPowerRing(Ring):
     tag = "valp"
 
     K_MAX = 4096
+    P_MAX = 10**120  # as z's VALUE_MAX; a primality test of a 4000-digit p takes seconds
 
     def __init__(self, p: int):
-        if not isprime(p):
-            raise ParameterError(f"valp parameter must be prime, got {p}")
+        if p > self.P_MAX or not is_prime(p):
+            raise ParameterError(f"valp parameter must be a prime <= 10^120, got {_echo(p)}")
         self.p = p
         self.caps = Capabilities(
             has_gcd=True,

@@ -237,12 +237,15 @@ def build_fragment(ring: Ring, seeds: Iterable[ClassId]) -> Fragment:
     for s in seeds:
         if s.ring != ring.name:
             raise RingMismatch(f"seed {s} does not belong to {ring.name}")
+    # one seed's divisor classes are the whole fragment, so the ring can
+    # refuse an over-cap seed before it lists them
+    cap = POINT_CAP if len(seeds) == 1 else None
     classes = set()
     for s in seeds:
         classes.add(s)
-        classes.update(ring.divisor_classes(s.rep))
+        classes.update(ring.divisor_classes(s.rep, cap))
     if len(classes) > POINT_CAP:
-        raise FragmentTooLarge(f"{len(classes)} points exceeds the cap {POINT_CAP}")
+        raise FragmentTooLarge(len(classes), POINT_CAP)
     points = tuple(sorted(classes, key=lambda c: c.text))
     cols, rows, covers = _divisibility(ring, points)
     return Fragment(ring, points, cols, rows, covers, seeds)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import divtop
-from divtop import cli
+from divtop import cli, rings
 from divtop.cli import main
 from divtop.topology import build_fragment
 
@@ -133,6 +133,13 @@ def test_check_unknown_prop(capsys):
     assert code == 2 and "unknown prop" in err
 
 
+@pytest.mark.parametrize("props", ["", ",,", " , "])
+def test_check_empty_prop_list_exits_2(capsys, props):
+    code, out, err = run(capsys, "check", "--ring", "z", "--seeds", "6", "--props", props)
+    assert code == 2 and out == ""
+    assert err == "error: no prop given\n"
+
+
 def test_check_text_mode(capsys):
     code, out, _ = run(
         capsys, "check", "--ring", "z", "--seeds", "6", "--props", "nested", "--out", "text"
@@ -211,6 +218,24 @@ def test_huge_integer_literal_exits_2(capsys, ring, seed):
     assert err == "error: integer literal of 5000 digits is too long to convert\n"
 
 
+@pytest.mark.parametrize(
+    "ring, message",
+    [
+        ("fp", "fp modulus must be a prime <= 17"),
+        ("valp", "valp parameter must be a prime <= 10^120"),
+    ],
+)
+def test_huge_p_is_refused_before_a_primality_test(capsys, monkeypatch, ring, message):
+    # one Miller-Rabin round on a 4000-digit p takes seconds
+    tested = []
+    monkeypatch.setattr(rings, "is_prime", lambda n: tested.append(n) or True)
+    p = str(10**4000 + 1)
+    code, out, err = run(capsys, "check", "--ring", ring, "--p", p, "--seeds", "1", "--props", "t0")
+    assert code == 2 and out == ""
+    assert err == f"error: {message}, got an integer of 13288 bits\n"
+    assert tested == []
+
+
 def test_valp_exponent_guard_at_parse(capsys):
     code, _, err = run(capsys, "fragment", "--ring", "valp", "--p", "2", "--seeds", "p^4097")
     assert code == 2
@@ -274,6 +299,36 @@ def test_fp_degree_12_isolated_check_finishes():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["verdict"] == "holds"
+
+
+# Runs the CLI in a fresh interpreter and reports on stderr whether sympy
+# was imported.
+SYMPY_PROBE = (
+    "import sys; from divtop.cli import main; code = main(sys.argv[1:]); "
+    "print('sympy' in sys.modules, file=sys.stderr); sys.exit(code)"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, loads_sympy",
+    [
+        (("--ring", "z", "--seeds", "60,7", "--props", "t0,isolated,density,gcd-intersection"),
+         False),
+        (("--ring", "gauss", "--seeds", "5,1+1i", "--props", "t0,isolated,density"), False),
+        (("--ring", "zs5", "--seeds", "6", "--props", "isolated,gcd-intersection,density"), False),
+        (("--ring", "valp", "--p", "3", "--seeds", "p^4", "--props", "t0,isolated,nested"), False),
+        (("--ring", "fp", "--p", "5", "--seeds", "x^2+x", "--props", "isolated"), True),
+    ],
+    ids=["z", "gauss", "zs5", "valp", "fp"],
+)
+def test_only_fp_factoring_imports_sympy(argv, loads_sympy):
+    env = {**os.environ, "PYTHONPATH": str(Path(divtop.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", SYMPY_PROBE, "check", *argv],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == f"{loads_sympy}\n"
 
 
 @pytest.mark.parametrize(

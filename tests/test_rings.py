@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from divtop.errors import (
     CapabilityMissing,
+    FragmentTooLarge,
     RingMismatch,
     SizeGuard,
     UnitElement,
@@ -172,7 +173,11 @@ def test_divisor_classes_valp():
 @settings(max_examples=150, deadline=None)
 def test_divisor_classes_against_oracle(ring_elem):
     ring, e = ring_elem
-    assert ring.divisor_classes(e) == divisor_classes_oracle(ring, e), (ring.name, e)
+    want = divisor_classes_oracle(ring, e)
+    assert ring.divisor_classes(e) == want, (ring.name, e)
+    assert ring.divisor_classes(e, cap=len(want)) == want
+    with pytest.raises(FragmentTooLarge, match=f"^{len(want)} points exceeds the cap"):
+        ring.divisor_classes(e, cap=len(want) - 1)
 
 
 def test_divisor_classes_targeted_hard_cases():

@@ -156,6 +156,30 @@ def test_build_fragment_point_cap():
         build_fragment(Z, [Z.canonical_class(963761198400)])
 
 
+@pytest.mark.parametrize(
+    "ring, seed, atom, points",
+    [(Z, 963761198400, 2, 6719), (G, Gauss(-5323500, -5323500), Gauss(1, 1), 5183)],
+    ids=["z", "gauss"],
+)
+def test_over_cap_seed_is_refused_before_enumeration(monkeypatch, ring, seed, atom, points):
+    # in a UFD one seed's class count follows from its factor exponents; the
+    # enumeration starts from one(), which factoring never calls
+    from divtop.errors import FragmentTooLarge
+
+    seed = ring.canonical_class(seed)
+    started = []
+    one = type(ring).one
+    monkeypatch.setattr(type(ring), "one", lambda self: started.append(1) or one(self))
+    message = f"^{points} points exceeds the cap 4096$"
+    with pytest.raises(FragmentTooLarge, match=message):
+        build_fragment(ring, [seed])
+    assert started == []
+    # a union is counted once enumerated, with the same message
+    with pytest.raises(FragmentTooLarge, match=message):
+        build_fragment(ring, [seed, ring.canonical_class(atom)])
+    assert started
+
+
 def test_fragment_is_divisor_closed():
     rng = random.Random(5)
     for f in sample_fragments(rng, per_ring=3):
