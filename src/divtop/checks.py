@@ -186,36 +186,35 @@ def basis_intersection(ring: Ring, a: ClassId, b: ClassId) -> CheckReport:
     witness set on rings without gcd."""
     if a.ring != ring.name or b.ring != ring.name:
         raise RingMismatch(f"classes {a.ring}/{b.ring} do not belong to {ring.name}")
-    da = ring.divisor_classes(a.rep)
-    db = ring.divisor_classes(b.rep)
-    inter = da & db
+    if not ring.caps.has_gcd:
+        return fragment_intersection(build_fragment(ring, [a]), a, b)
+    inter = ring.divisor_classes(a.rep) & ring.divisor_classes(b.rep)
     details = {"left": a.text, "right": b.text, "intersection": _texts(inter)}
-    if ring.caps.has_gcd:
-        g = ring.gcd_class(a.rep, b.rep)
-        if g is None:
-            details["gcd"] = None
-            ok = not inter
-        else:
-            details["gcd"] = g.text
-            ok = inter == ring.divisor_classes(g.rep)
-        return CheckReport(
-            "gcd-intersection", HOLDS if ok else FAILS, () if ok else (a, b), details
-        )
-    # no gcd: look for a member whose divisor set is the whole intersection
-    for g in sorted(inter, key=ring.class_sort_key):
-        if ring.divisor_classes(g.rep) == inter:
-            details["basic"] = True
-            details["generator"] = g.text
-            return CheckReport("gcd-intersection", HOLDS, (), details)
-    details["basic"] = not inter
-    if inter:
-        return CheckReport(
-            "gcd-intersection",
-            WITNESS,
-            tuple(sorted(inter, key=ring.class_sort_key)),
-            details,
-        )
-    return CheckReport("gcd-intersection", HOLDS, (), details)
+    g = ring.gcd_class(a.rep, b.rep)
+    if g is None:
+        details["gcd"] = None
+        ok = not inter
+    else:
+        details["gcd"] = g.text
+        ok = inter == ring.divisor_classes(g.rep)
+    return CheckReport("gcd-intersection", HOLDS if ok else FAILS, () if ok else (a, b), details)
+
+
+def fragment_intersection(fragment: Fragment, a: ClassId, b: ClassId) -> CheckReport:
+    """``basis_intersection`` on a ring without gcd, read from a fragment that
+    holds a.  Every member of U_a & U_b divides a, so it is a point here, and
+    the intersection is the points of col(a) that divide b (col(a) & col(b)
+    when b is a point too).  It is basic exactly when one of its points has
+    it as its column."""
+    ring, ua = fragment.ring, fragment.basic_open(a)
+    inter = fragment.point_set(g for g in ua if ring.divides(g.rep, b.rep))
+    details = {"left": a.text, "right": b.text, "intersection": _texts(inter)}
+    g = next((g for g in inter if fragment.basic_open(g).bits == inter.bits), None)
+    details["basic"] = g is not None or not inter
+    if g is not None:
+        details["generator"] = g.text
+    witnesses = () if details["basic"] else tuple(sorted(inter, key=ring.class_sort_key))
+    return CheckReport("gcd-intersection", WITNESS if witnesses else HOLDS, witnesses, details)
 
 
 # ---------------------------------------------------------------------------

@@ -169,6 +169,13 @@ def _echo(n: int) -> str:
     return str(n) if n.bit_length() <= 64 else f"an integer of {n.bit_length()} bits"
 
 
+def _echo_element(ring, e, *parts) -> str:
+    """ring.fmt(e) for an error message while its integer parts fit in 64
+    bits, else only the size of the largest part."""
+    bits = max(abs(v) for v in parts).bit_length()
+    return ring.fmt(e) if bits <= 64 else f"an element with a {bits}-bit part"
+
+
 def _parse_int(text: str) -> int:
     m = re.fullmatch(r"\s*([+-]?\d+)\s*", _ascii_minus(text))
     if not m:
@@ -463,7 +470,9 @@ class IntegerRing(Ring):
 
     def _guard(self, a, bound) -> None:
         if abs(a) > bound:
-            raise SizeGuard(f"|{a}| exceeds the z bound {bound}")
+            shown = f"|{a}|" if a.bit_length() <= 64 else _echo(a)
+            limit = "10^120" if bound == self.VALUE_MAX else bound
+            raise SizeGuard(f"{shown} exceeds the z bound {limit}")
 
     def _factor_reps(self, a):
         self._guard(a, self.VALUE_MAX)
@@ -558,7 +567,8 @@ class GaussianRing(Ring):
 
     def _guard(self, a) -> None:
         if a.norm > self.NORM_MAX:
-            raise SizeGuard(f"the norm of {self.fmt(a)} exceeds the gauss bound {self.NORM_MAX}")
+            shown = _echo_element(self, a, a.re, a.im)
+            raise SizeGuard(f"the norm of {shown} exceeds the gauss bound {self.NORM_MAX}")
 
     def _prime_above(self, p: int):
         # p = 1 mod 4 splits; gcd with a square root of -1 finds one factor
@@ -798,7 +808,8 @@ class RootMinus5Ring(Ring):
 
     def _guard(self, a) -> None:
         if a.norm > self.NORM_MAX:
-            raise SizeGuard(f"the norm of {self.fmt(a)} exceeds the zs5 bound {self.NORM_MAX}")
+            shown = _echo_element(self, a, a.x, a.y)
+            raise SizeGuard(f"the norm of {shown} exceeds the zs5 bound {self.NORM_MAX}")
 
     @staticmethod
     def _norm_solutions(d: int):

@@ -6,12 +6,16 @@ stay meaningful as cross-checks.  The n^2 divides matrix, the pairwise T0
 and nestedness loops, the per-point isolated check and the fp trial-division
 factorizer are the library's earlier implementations, kept as references for
 the irreducible-step build, the O(n) checks, the division certificates of
-``isolated_points`` and the finite-field factorizer.
+``isolated_points`` and the finite-field factorizer.  The gcd-intersection
+partner search and its frozenset intersection are the earlier versions of
+the fragment-column search.
 """
 
+from itertools import combinations
 from math import isqrt
 
-from divtop.checks import FAILS, HOLDS, CheckReport
+from divtop import checks as C
+from divtop.checks import FAILS, HOLDS, WITNESS, CheckReport
 from divtop.rings import Gauss, Poly, Root5
 
 
@@ -259,3 +263,41 @@ def isolated_oracle(fragment) -> CheckReport:
             "match": match,
         },
     )
+
+
+def basis_intersection_oracle(ring, a, b) -> CheckReport:
+    """basis_intersection with frozenset divisor sets: on a ring without gcd,
+    a member whose own divisor set is the whole intersection generates it."""
+    if ring.caps.has_gcd:
+        return C.basis_intersection(ring, a, b)
+    inter = ring.divisor_classes(a.rep) & ring.divisor_classes(b.rep)
+    details = {"left": a.text, "right": b.text, "intersection": sorted(c.text for c in inter)}
+    for g in sorted(inter, key=ring.class_sort_key):
+        if ring.divisor_classes(g.rep) == inter:
+            details["basic"] = True
+            details["generator"] = g.text
+            return CheckReport("gcd-intersection", HOLDS, (), details)
+    details["basic"] = not inter
+    if inter:
+        witnesses = tuple(sorted(inter, key=ring.class_sort_key))
+        return CheckReport("gcd-intersection", WITNESS, witnesses, details)
+    return CheckReport("gcd-intersection", HOLDS, (), details)
+
+
+def intersection_pair_oracle(ring, classes) -> tuple:
+    """The gcd-intersection pair: the first two seeds, or one seed with the
+    first product of two non-associated irreducible divisors (each found by
+    the ring's test) whose intersection with it is non-basic, else itself."""
+    if len(classes) >= 2:
+        return classes[0], classes[1]
+    a = classes[0]
+    if not ring.caps.has_gcd:
+        irr = sorted(
+            (c for c in ring.divisor_classes(a.rep) if ring.is_irreducible(c.rep)),
+            key=ring.class_sort_key,
+        )
+        for q1, q2 in combinations(irr, 2):
+            b = ring.mul_class(q1, q2)
+            if basis_intersection_oracle(ring, a, b).verdict == WITNESS:
+                return a, b
+    return a, a

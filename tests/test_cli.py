@@ -1,17 +1,26 @@
 """CLI behavior: outputs, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from functools import cache
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import divtop
 from divtop import cli, rings
 from divtop.cli import main
+from divtop.formats import report_to_json
+from divtop.rings import Root5
 from divtop.topology import build_fragment
+
+from oracles import basis_intersection_oracle, intersection_pair_oracle
+from strategies import ELEMENTS, RING_SEEDS, S5
 
 
 def run(capsys, *argv):
@@ -269,9 +278,9 @@ def test_representative_too_long_to_print_exits_2(capsys, argv):
 @pytest.mark.parametrize(
     "ring, seed, shown, bound",
     [
-        # the guard names the canonical associate: -i * (7...7)i = 7...7
-        ("gauss", SEVENS + "i", SEVENS, 10**18),
-        ("zs5", SEVENS + "s", SEVENS + "s", 10**8),
+        # a 3000-digit part is named by its size only
+        ("gauss", SEVENS + "i", "an element with a 9966-bit part", 10**18),
+        ("zs5", SEVENS + "s", "an element with a 9966-bit part", 10**8),
     ],
     ids=["gauss", "zs5"],
 )
@@ -332,10 +341,18 @@ def test_only_fp_factoring_imports_sympy(argv, loads_sympy):
 
 
 @pytest.mark.parametrize(
-    "props, builds",
-    [("t0,isolated,nested,dense-open,maximal", 1), ("t1,density,chain", 0)],
+    "ring, seeds, props, builds",
+    [
+        pytest.param("z", "12", props, builds, id=f"{props}-{builds}")
+        for props, builds in [("t0,isolated,nested,dense-open,maximal", 1), ("t1,density,chain", 0)]
+    ]
+    + [
+        # the zs5 partner search reads the same fragment
+        pytest.param("zs5", "6", "t0,gcd-intersection", 1, id="zs5-t0,gcd-intersection-1"),
+        pytest.param("zs5", "6,2+2s", "gcd-intersection,t0", 1, id="zs5-gcd-intersection,t0-1"),
+    ],
 )
-def test_check_builds_the_seed_fragment_once(capsys, monkeypatch, props, builds):
+def test_check_builds_the_seed_fragment_once(capsys, monkeypatch, ring, seeds, props, builds):
     calls = []
 
     def counted(ring, seeds):
@@ -343,7 +360,7 @@ def test_check_builds_the_seed_fragment_once(capsys, monkeypatch, props, builds)
         return build_fragment(ring, seeds)
 
     monkeypatch.setattr(cli, "build_fragment", counted)
-    code, _, _ = run(capsys, "check", "--ring", "z", "--seeds", "12", "--props", props)
+    code, _, _ = run(capsys, "check", "--ring", ring, "--seeds", seeds, "--props", props)
     assert code == 0
     assert len(calls) == builds
 
@@ -377,3 +394,153 @@ def test_cli_output_is_byte_identical(capsys, argv):
     first = run(capsys, *argv)
     second = run(capsys, *argv)
     assert first == second
+
+
+BIG = "7" * 4000
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("fragment", "--ring", "z", "--seeds", BIG),
+         "an integer of 13288 bits exceeds the z bound 1000000000000"),
+        (("check", "--ring", "z", "--seeds", "-" + BIG, "--props", "density"),
+         "an integer of 13288 bits exceeds the z bound 10^120"),
+        (("fragment", "--ring", "gauss", "--seeds", BIG + "i"),
+         "the norm of an element with a 13288-bit part exceeds the gauss bound 1000000000000000000"),
+        (("fragment", "--ring", "zs5", "--seeds", "1+" + BIG + "s"),
+         "the norm of an element with a 13288-bit part exceeds the zs5 bound 100000000"),
+        # values up to 64 bits are still printed in full
+        (("fragment", "--ring", "z", "--seeds=-99999999999999"),
+         "|99999999999999| exceeds the z bound 1000000000000"),
+        (("fragment", "--ring", "gauss", "--seeds", "7777777777i"),
+         "the norm of 7777777777 exceeds the gauss bound 1000000000000000000"),
+        (("fragment", "--ring", "zs5", "--seeds=-99999-1s"),
+         "the norm of 99999+1s exceeds the zs5 bound 100000000"),
+    ],
+    ids=["z-enum", "z-factor", "gauss", "zs5", "z-short", "gauss-short", "zs5-short"],
+)
+def test_size_guard_names_long_values_by_size(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+    assert len(err.encode()) < 200
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_main_reuses_one_parser(capsys, monkeypatch):
+    usage = ("check", "--ring", "z", "--seeds", "12")  # --props is missing
+    help_ = ("--help",)
+    jobs = [
+        ("fragment", "--ring", "z", "--seeds", "12", "--out", "text"),
+        ("check", "--ring", "zs5", "--seeds", "6", "--props", "t0,gcd-intersection"),
+        ("primes", "--ring", "z", "--start", "2,3", "--count", "3"),
+    ]
+    help_text = cli.build_parser().format_help()
+    cli._parser.cache_clear()
+    built = []
+    init = cli.argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(cli.argparse.ArgumentParser, "__init__", counted)
+    calls = [usage, help_, *jobs, help_, usage, *reversed(jobs), usage, *jobs, help_]
+    first = {}
+    for argv in calls:
+        first.setdefault(argv, _outcome(capsys, argv))
+        assert _outcome(capsys, argv) == first[argv]
+    assert len(calls) >= 10
+    assert first[usage][0] == 2 and "--props" in first[usage][2]
+    assert first[help_] == (0, help_text, "")
+    assert [code for code, _, _ in map(first.get, jobs)] == [0, 0, 0]
+    # one top-level parser and its three subcommand parsers
+    assert built == ["divtop", "divtop fragment", "divtop check", "divtop primes"]
+
+
+def test_importing_the_cli_builds_no_parser():
+    env = {**os.environ, "PYTHONPATH": str(Path(divtop.__file__).parents[1])}
+    code = (
+        "import argparse; built = []; init = argparse.ArgumentParser.__init__\n"
+        "def counted(self, *a, **k): init(self, *a, **k); built.append(self.prog)\n"
+        "argparse.ArgumentParser.__init__ = counted\n"
+        "import divtop.cli; print(built)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=30
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+@given(st.one_of(RING_SEEDS, ELEMENTS[S5].map(lambda e: (S5, [S5.canonical_class(e)]))))
+@example((S5, [S5.canonical_class(Root5(6, 0))]))
+@example((S5, [S5.canonical_class(Root5(9, 0))]))
+@example((S5, [S5.canonical_class(Root5(6, 0)), S5.canonical_class(Root5(2, 2))]))
+@settings(max_examples=100, deadline=None)
+def test_gcd_intersection_matches_frozenset_oracles(ring_seeds):
+    ring, classes = ring_seeds
+    report = cli._intersection_report(ring, classes, cache(lambda: build_fragment(ring, classes)))
+    want = basis_intersection_oracle(ring, *intersection_pair_oracle(ring, classes))
+    assert report_to_json(report) == report_to_json(want)
+
+
+ZS5_SEARCHES = {
+    "7560": '{"check":"gcd-intersection","verdict":"witness-produced",'
+    '"witnesses":["1-1s","3-1s","1+2s"],"details":{"left":"7560","right":"13+5s",'
+    '"intersection":["1+2s","1-1s","3-1s"],"basic":false}}\n',
+    "9240": '{"check":"gcd-intersection","verdict":"witness-produced",'
+    '"witnesses":["1-1s","1+1s","3"],"details":{"left":"9240","right":"3-3s",'
+    '"intersection":["1+1s","1-1s","3"],"basic":false}}\n',
+}
+
+
+@pytest.mark.parametrize("seed", sorted(ZS5_SEARCHES))
+def test_zs5_partner_search_enumerates_divisors_once(capsys, monkeypatch, seed):
+    counts = {"divisors": 0, "irreducible": 0}
+    divisor_reps = rings.RootMinus5Ring._divisor_reps
+    is_irreducible = rings.Ring.is_irreducible
+
+    def counted_divisors(self, *args):
+        counts["divisors"] += 1
+        return divisor_reps(self, *args)
+
+    def counted_irreducible(self, a):
+        counts["irreducible"] += 1
+        return is_irreducible(self, a)
+
+    monkeypatch.setattr(rings.RootMinus5Ring, "_divisor_reps", counted_divisors)
+    monkeypatch.setattr(rings.Ring, "is_irreducible", counted_irreducible)
+    code, out, err = run(
+        capsys, "check", "--ring", "zs5", "--seeds", seed, "--props", "gcd-intersection"
+    )
+    assert (code, out, err) == (0, ZS5_SEARCHES[seed], "")
+    assert counts == {"divisors": 1, "irreducible": 0}
+
+
+@pytest.mark.parametrize(
+    "seeds, digest",
+    [
+        # 6719 points: over the fragment cap, so gcd rings stay off the fragment
+        ("963761198400", "5c1bc6e06357f9793996230a21092fd4beee816d721a168be4ac8a7ff2d8c2d1"),
+        ("963761198400,12", hashlib.sha256(
+            b'{"check":"gcd-intersection","verdict":"holds","witnesses":[],"details":'
+            b'{"left":"963761198400","right":"12","intersection":["12","2","3","4","6"],'
+            b'"gcd":"12"}}\n').hexdigest()),
+    ],
+)
+def test_gcd_ring_intersection_past_the_fragment_cap(capsys, seeds, digest):
+    code, out, err = run(
+        capsys, "check", "--ring", "z", "--seeds", seeds, "--props", "gcd-intersection"
+    )
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
