@@ -23,7 +23,7 @@ from .errors import (
     RingMismatch,
 )
 from .rings import ClassId, Ring
-from .topology import DENSE_OPEN_CAP, ENUM_CAP, Fragment, PointSet, build_fragment
+from .topology import DENSE_OPEN_CAP, ENUM_CAP, POINT_CAP, Fragment, PointSet, build_fragment
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -392,6 +392,10 @@ def noetherian_chain(ring: Ring, a: ClassId, n: int) -> CheckReport:
     """Basic opens of a, a^2, ..., a^n grow strictly at every step."""
     if n < 2:
         raise ParameterError("chain length must be >= 2")
+    # a, ..., a^n are n distinct points of one fragment: refuse before
+    # computing them
+    if n > POINT_CAP:
+        raise ParameterError(f"chain length must be <= {POINT_CAP}")
     powers = [a]
     for _ in range(n - 1):
         powers.append(ring.mul_class(powers[-1], a))

@@ -26,7 +26,12 @@ def ring_descriptor(ring: Ring) -> dict:
 
 
 def ring_from_descriptor(d: dict) -> Ring:
-    return make_ring(d["tag"], d.get("p"))
+    if not isinstance(d, dict) or not isinstance(d.get("tag"), str):
+        raise DivtopError("a ring descriptor is an object with a string tag")
+    p = d.get("p")
+    if p is not None and type(p) is not int:
+        raise DivtopError("a ring descriptor's p is an integer")
+    return make_ring(d["tag"], p)
 
 
 def _dumps(doc) -> str:
@@ -46,15 +51,28 @@ def fragment_to_json(fragment: Fragment) -> str:
     return _dumps(doc)
 
 
+def _texts(doc: dict, key: str) -> list:
+    texts = doc.get(key)
+    if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
+        raise DivtopError(f"a fragment document's {key} are a list of strings")
+    return texts
+
+
 def fragment_from_json(text: str) -> Fragment:
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise DivtopError(f"not a JSON document: {exc}") from None
+    if not isinstance(doc, dict):
+        raise DivtopError("a fragment document is a JSON object")
     if doc.get("schema") != SCHEMA:
         raise DivtopError(f"unsupported schema {doc.get('schema')!r}")
-    ring = ring_from_descriptor(doc["ring"])
-    seeds = tuple(ring.canonical_class(ring.parse(t)) for t in doc["seeds"])
+    ring = ring_from_descriptor(doc.get("ring"))
+    seed_texts, point_texts = _texts(doc, "seeds"), _texts(doc, "points")
+    seeds = tuple(ring.canonical_class(ring.parse(t)) for t in seed_texts)
     fragment = build_fragment(ring, seeds)
     points = [p.text for p in fragment.points]
-    if points != doc["points"]:
+    if points != point_texts:
         raise DivtopError("point list does not match the fragment its seeds build")
     return fragment
 

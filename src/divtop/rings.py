@@ -720,24 +720,67 @@ class PolynomialRing(Ring):
         if degree > self.DEG_MAX:
             raise SizeGuard(f"degree {degree} exceeds the fp bound {self.DEG_MAX}")
 
-    # sympy is imported in these two methods only: the import alone takes
-    # several times as long as a whole z, gauss, zs5 or valp run
-
     def _factor_reps(self, a):
-        # sympy's dense lists run high degree first, and its ZZ may be gmpy's mpz
-        from sympy.polys.domains import ZZ
-        from sympy.polys.galoistools import gf_factor
-
+        # f / gcd(f, f') is the square-free product of the irreducibles whose
+        # multiplicity p does not divide: Berlekamp splits it, and each factor
+        # is peeled out of f as often as it divides.  What is left has f' = 0,
+        # so f = g(x^p) = g(x)^p, since c^p = c for every c in F_p
         self._guard(a.degree)
-        _, factors = gf_factor(list(reversed(a.coeffs)), self.p, ZZ)
-        return tuple(Poly(self.p, tuple(map(int, f[::-1]))) for f, k in factors for _ in range(k))
+        f = self.canonical(a)
+        out = []
+        df = self.poly([i * c for i, c in enumerate(f.coeffs)][1:])
+        if not self.is_zero(df):
+            for g in self._berlekamp(self.canonical(self.divide(f, self._gcd(f, df)))):
+                while (q := self.divide(f, g)) is not None:
+                    out.append(g)
+                    f = q
+        if not self.is_unit(f):
+            out += self._factor_reps(Poly(self.p, f.coeffs[:: self.p])) * self.p
+        return tuple(out)
 
-    def _irreducible(self, a) -> bool:
-        from sympy.polys.domains import ZZ
-        from sympy.polys.galoistools import gf_irreducible_p
+    def _berlekamp(self, f) -> list:
+        """Monic irreducible factors of a monic square-free f (Berlekamp 1967).
 
-        self._guard(a.degree)
-        return gf_irreducible_p(list(reversed(a.coeffs)), self.p, ZZ)
+        The v with v^p = v mod f form the null space of Q - I, where row i of
+        Q is x^(p*i) mod f; its dimension is the number of factors, and every
+        h dividing f is the product of gcd(h, v - s) over s in F_p."""
+        p, n = self.p, f.degree
+        xp = self._rem(Poly(p, (0,) * p + (1,)), f)
+        cols, row = [[0] * n for _ in range(n)], self.one()
+        for i in range(n):  # cols is (Q - I) transposed
+            for j, c in enumerate(row.coeffs):
+                cols[j][i] = c
+            cols[i][i] = (cols[i][i] - 1) % p
+            row = self._rem(self.mul(row, xp), f)
+        pivots = []  # Gauss-Jordan elimination; pivots[r] is row r's column
+        for j in range(n):
+            r = len(pivots)
+            i = next((i for i in range(r, n) if cols[i][j]), None)
+            if i is None:
+                continue
+            cols[r], cols[i] = cols[i], cols[r]
+            inv = pow(cols[r][j], -1, p)
+            cols[r] = [c * inv % p for c in cols[r]]
+            for i in range(n):
+                if i != r and (m := cols[i][j]):
+                    cols[i] = [(c - m * d) % p for c, d in zip(cols[i], cols[r])]
+            pivots.append(j)
+        # column 0 is zero (row 0 of Q is 1), so it is free and stands for the
+        # constants; every other free column gives a nonconstant v
+        basis = []
+        for free in (j for j in range(1, n) if j not in pivots):
+            v = [0] * n
+            v[free] = 1
+            for r, j in enumerate(pivots):
+                v[j] = -cols[r][free] % p
+            basis.append(self.poly(v))
+        factors = [f]
+        for v in basis:
+            if len(factors) > len(basis):
+                break
+            splits = (self._gcd(h, self.add(v, self.poly([-s]))) for h in factors for s in range(p))
+            factors = [self.canonical(g) for g in splits if not self.is_unit(g)]
+        return factors
 
     def _rem(self, a, b):
         return self.divmod(a, b)[1]
@@ -841,23 +884,19 @@ class RootMinus5Ring(Ring):
                         reps.add(self.canonical(c))
         return reps
 
-    def _smallest_divisor(self, a):
-        # least proper divisor of canonical a, None when a is irreducible
-        return min(self._divisor_reps(a) - {a}, key=self.sort_key, default=None)
-
     def _factor_reps(self, a):
         # not a UFD, so peel: in an atomic domain the least proper divisor is
-        # irreducible, and splitting it off until none is left factors a
+        # irreducible, and splitting it off until none is left factors a.
+        # Every divisor of rest divides a, and none listed before d divides
+        # rest once d is reached, so one sorted list of a's divisors serves
         out = []
         rest = self.canonical(a)
-        while (f := self._smallest_divisor(rest)) is not None:
-            out.append(f)
-            rest = self.canonical(self.divide(rest, f))
+        for d in sorted(self._divisor_reps(rest), key=self.sort_key):
+            while d != rest and (q := self.divide(rest, d)) is not None:
+                out.append(d)
+                rest = self.canonical(q)
         out.append(rest)
         return tuple(out)
-
-    def _irreducible(self, a) -> bool:
-        return self._smallest_divisor(self.canonical(a)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -981,4 +1020,4 @@ def make_ring(tag: str, p: Optional[int] = None) -> Ring:
         if p is None:
             raise ModulusMissing("valp needs a prime p")
         return PPowerRing(p)
-    raise ValueError(f"unknown ring tag {tag!r}")
+    raise ParameterError(f"unknown ring tag {tag!r}")

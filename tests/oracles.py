@@ -6,13 +6,17 @@ stay meaningful as cross-checks.  The n^2 divides matrix, the pairwise T0
 and nestedness loops, the per-point isolated check and the fp trial-division
 factorizer are the library's earlier implementations, kept as references for
 the irreducible-step build, the O(n) checks, the division certificates of
-``isolated_points`` and the finite-field factorizer.  The gcd-intersection
+``isolated_points`` and the finite-field factorizer, as is sympy's
+``gf_factor``, which the Berlekamp factorizer replaced.  The gcd-intersection
 partner search and its frozenset intersection are the earlier versions of
 the fragment-column search.
 """
 
 from itertools import combinations
 from math import isqrt
+
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_factor
 
 from divtop import checks as C
 from divtop.checks import FAILS, HOLDS, WITNESS, CheckReport
@@ -92,6 +96,15 @@ def fp_trial_factor(ring, a) -> list:
         out.append(f)
         rest = ring.canonical(ring.divide(rest, f))
     out.append(rest)
+    return sorted(out, key=ring.sort_key)
+
+
+def fp_sympy_factor(ring, a) -> list:
+    """Monic irreducible factors of a, with multiplicity and sorted, from
+    sympy's ``gf_factor``: the library's earlier finite-field factorizer.
+    sympy's dense lists run high degree first."""
+    _, factors = gf_factor(list(reversed(a.coeffs)), ring.p, ZZ)
+    out = [Poly(ring.p, tuple(map(int, f[::-1]))) for f, k in factors for _ in range(k)]
     return sorted(out, key=ring.sort_key)
 
 

@@ -12,10 +12,11 @@ from divtop.errors import (
     EmptyFamily,
     FragmentTooLargeForEnumeration,
     NotIrreducible,
+    ParameterError,
 )
 from divtop.formats import report_to_json
 from divtop.rings import ClassId, Gauss, PPow, Root5, make_ring
-from divtop.topology import Fragment, build_fragment
+from divtop.topology import POINT_CAP, Fragment, build_fragment
 
 from oracles import isolated_oracle, nested_oracle, t0_oracle
 from strategies import RING_SEEDS
@@ -447,6 +448,14 @@ def test_chain_valp_32():
 def test_chain_fp():
     r = C.noetherian_chain(F2, F2.canonical_class(F2.parse("x")), 8)
     assert r.details["sizes"] == list(range(1, 9))
+
+
+def test_chain_length_cap():
+    # n powers are n points of one fragment, so POINT_CAP bounds n
+    p = V2.canonical_class(PPow(2, 1))
+    assert C.noetherian_chain(V2, p, POINT_CAP).details["sizes"][-1] == POINT_CAP
+    with pytest.raises(ParameterError, match=f"chain length must be <= {POINT_CAP}"):
+        C.noetherian_chain(V2, p, POINT_CAP + 1)
 
 
 def test_chain_every_nonunit_strict():

@@ -250,6 +250,35 @@ def test_fragment_json_detects_tampering():
         fragment_from_json(json.dumps({"schema": "divtop/0"}))
 
 
+def _doc(**changes):
+    # the fragment of 12 as a JSON document; a None value drops its key
+    doc = {**json.loads(fragment_to_json(zfrag(12))), **changes}
+    return json.dumps({k: v for k, v in doc.items() if v is not None})
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        json.dumps([_doc()]),
+        _doc(ring=None),
+        _doc(ring={"tag": "q"}),
+        _doc(ring={"tag": "fp", "p": "5"}),
+        _doc(ring=["z"]),
+        _doc(seeds=[12]),
+        _doc(seeds="12"),
+        _doc(points=None),
+        _doc()[:-1],
+    ],
+    ids=[
+        "list", "no-ring", "unknown-tag", "string-p", "ring-list", "integer-seed",
+        "seed-string", "no-points", "not-json",
+    ],
+)
+def test_malformed_fragment_document_raises_divtop_error(text):
+    with pytest.raises(DivtopError):
+        fragment_from_json(text)
+
+
 def test_fragment_json_stable_bytes():
     a = fragment_to_json(zfrag(60))
     b = fragment_to_json(zfrag(60))

@@ -21,6 +21,7 @@ from divtop.rings import Gauss, PPow, Root5, make_ring
 from oracles import (
     divisor_classes_oracle,
     fp_rabin_irreducible,
+    fp_sympy_factor,
     fp_trial_factor,
     int_divisors,
     int_is_prime,
@@ -362,6 +363,72 @@ def test_fp_product_of_two_sextics():
         assert fp_trial_factor(F17, f) == [f]
     assert not F17.is_irreducible(F17.mul(g, h))
     assert [c.rep for c in F17.factor(F17.mul(g, h))] == [g, h]
+
+
+FP_ALL = tuple(make_ring("fp", p) for p in (2, 3, 5, 7, 11, 13, 17))
+
+
+@st.composite
+def fp_factor_cases(draw):
+    # a product of atoms drawn with repetition, times a p-th power when its
+    # degree fits, of degree at most 12
+    ring = draw(st.sampled_from(FP_ALL))
+
+    def poly(degree):
+        low = draw(st.lists(st.integers(0, ring.p - 1), min_size=1, max_size=degree))
+        return ring.poly(low + [draw(st.integers(1, ring.p - 1))])
+
+    f = ring.one()
+    if ring.p <= ring.DEG_MAX and draw(st.booleans()):
+        f = ring.product([poly(ring.DEG_MAX // ring.p)] * ring.p)
+    pool = [poly(3) for _ in range(draw(st.integers(1, 3)))]
+    for g in draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8)):
+        if f.degree + g.degree <= ring.DEG_MAX:
+            f = ring.mul(f, g)
+    return ring, f
+
+
+@given(fp_factor_cases())
+@settings(max_examples=300, deadline=None)
+def test_fp_factor_against_sympy(ring_elem):
+    ring, e = ring_elem
+    assert [c.rep for c in ring.factor(e)] == fp_sympy_factor(ring, e)
+
+
+@pytest.mark.parametrize(
+    "ring, text, factors",
+    [
+        (F17, DEG12, [DEG12]),
+        (F2, "x^8+x^4+1", ["x^2+x+1"] * 4),
+        (F3, "x^9+x^6+x^3+1", ["x+1"] * 3 + ["x^2+1"] * 3),
+    ],
+    ids=["deg12-f17", "fourth-power-f2", "cubes-f3"],
+)
+def test_fp_factor_fixed_cases(ring, text, factors):
+    e = ring.parse(text)
+    assert [c.text for c in ring.factor(e)] == factors
+    assert [c.rep for c in ring.factor(e)] == fp_sympy_factor(ring, e)
+
+
+@given(st.one_of(fp_factor_cases(), FP_LARGE_ELEMENTS))
+@settings(max_examples=200, deadline=None)
+def test_fp_irreducible_against_rabin(ring_elem):
+    ring, e = ring_elem
+    assert ring.is_irreducible(e) == fp_rabin_irreducible(ring, e)
+
+
+def test_zs5_factor_enumerates_divisors_once(monkeypatch):
+    calls = []
+    divisor_reps = type(S5)._divisor_reps
+
+    def counted(self, *args):
+        calls.append(args)
+        return divisor_reps(self, *args)
+
+    monkeypatch.setattr(type(S5), "_divisor_reps", counted)
+    factors = S5.factor(Root5(7560, 0))
+    assert len(calls) == 1
+    assert [c.text for c in factors] == ["2", "2", "2", "1s", "1s", "2-1s", "2+1s", "3", "7"]
 
 
 # ---------------------------------------------------------------------------
