@@ -127,7 +127,7 @@ def isolated_points(fragment: Fragment) -> CheckReport:
     """Points whose basic open is a singleton; must coincide with the
     irreducible representatives."""
     pts = fragment.points
-    isolated = tuple(p for p, col in zip(pts, fragment._cols) if col.bit_count() == 1)
+    isolated = fragment.isolated().classes()
     irred = tuple(p for j, p in enumerate(pts) if _irreducible_point(fragment, j))
     match = isolated == irred
     # on a mismatch the symmetric difference is the witness (in point order)
@@ -251,9 +251,7 @@ def dense_open_check(fragment: Fragment) -> CheckReport:
         raise FragmentTooLargeForEnumeration(
             f"{len(fragment)} points exceeds the dense-open cap {DENSE_OPEN_CAP}"
         )
-    iso = fragment.point_set(
-        p for p in fragment.points if len(fragment.basic_open(p)) == 1
-    )
+    iso = fragment.isolated()
     full = fragment.full_set()
     dense_opens = []
     total = 0

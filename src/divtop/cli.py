@@ -22,28 +22,9 @@ from .formats import (
     primes_to_json,
     report_to_json,
 )
-from .primes import PrimeList, prime_stream
+from .primes import PrimeList, prime_stream, require_stream_capability
 from .rings import RING_TAGS, Ring, make_ring
 from .topology import build_fragment
-
-# every prop in help order, with its expected verdict or a function of the
-# ring that gives it
-EXPECTED = {
-    "t0": HOLDS,
-    "t1": WITNESS,
-    "isolated": HOLDS,
-    "nested": lambda ring: HOLDS if ring.caps.is_valuation else FAILS,
-    "gcd-intersection": lambda ring: HOLDS if ring.caps.has_gcd else WITNESS,
-    "density": HOLDS,
-    "dense-open": HOLDS,
-    "ultra": WITNESS,
-    "sep-nbhd": WITNESS,
-    "regular": WITNESS,
-    "compact": WITNESS,
-    "chain": WITNESS,
-    "maximal": WITNESS,
-}
-PROPS = tuple(EXPECTED)
 
 DEFAULT_CHAIN = 5
 
@@ -54,14 +35,6 @@ class UsageError(DivtopError):
     pass
 
 
-def _ring_from_args(args) -> Ring:
-    if args.ring in ("fp", "valp") and args.p is None:
-        raise UsageError(f"--p is required for --ring {args.ring}")
-    if args.ring not in ("fp", "valp") and args.p is not None:
-        raise UsageError(f"--p does not apply to --ring {args.ring}")
-    return make_ring(args.ring, args.p)
-
-
 def _seed_classes(ring: Ring, seeds: str) -> list:
     out = []
     for chunk in seeds.split(","):
@@ -70,11 +43,6 @@ def _seed_classes(ring: Ring, seeds: str) -> list:
             raise UsageError("empty seed in --seeds")
         out.append(ring.canonical_class(ring.parse(chunk)))
     return out
-
-
-def expected_verdict(prop: str, ring: Ring) -> str:
-    verdict = EXPECTED[prop]
-    return verdict(ring) if callable(verdict) else verdict
 
 
 def _intersection_report(ring: Ring, classes: list, fragment) -> CheckReport:
@@ -88,77 +56,77 @@ def _intersection_report(ring: Ring, classes: list, fragment) -> CheckReport:
     If not, it is not: a generator g would be divisible by q1 and q2 and
     divide b, so g ~ b would divide a.  So b is the first product that is no
     point of a's fragment, and the report below recomputes the verdict."""
-    a = classes[0]
-    b = classes[1] if len(classes) > 1 else a
+    a, b = classes[0], classes[:2][-1]
     if ring.caps.has_gcd:
         return C.basis_intersection(ring, a, b)
-    # a zs5 norm <= 10^8 has at most 1440 ideal divisors (found by a scan), so
+    # a Z[sqrt(-5)] norm <= 10^8 has at most 1440 ideal divisors (found by a scan), so
     # a fragment of two seeds stays under POINT_CAP; more seeds might not
     frag = fragment() if len(classes) <= 2 else build_fragment(ring, classes[:2])
     if len(classes) == 1:
-        irr = [p for p in frag.points if len(frag.basic_open(p)) == 1]
-        irr.sort(key=ring.class_sort_key)
+        irr = sorted(frag.isolated(), key=ring.class_sort_key)
         products = (ring.mul_class(q1, q2) for q1, q2 in combinations(irr, 2))
         b = next((b for b in products if b not in frag), a)
     return C.fragment_intersection(frag, a, b)
 
 
-def _run_prop(prop: str, ring: Ring, classes: list, fragment, args) -> CheckReport:
-    """Run one prop of ``PROPS``; ``fragment()`` returns the seeds' fragment."""
-    if prop == "t0":
-        return C.check_t0(fragment())
-    if prop == "t1":
-        return C.t1_failure_witness(ring, classes[0])
-    if prop == "isolated":
-        return C.isolated_points(fragment())
-    if prop == "nested":
-        return C.check_nested(fragment())
-    if prop == "gcd-intersection":
-        return _intersection_report(ring, classes, fragment)
-    if prop == "density":
-        return C.density_check(ring, classes)
-    if prop == "dense-open":
-        return C.dense_open_check(fragment())
-    if prop == "ultra":
-        b = classes[1] if len(classes) > 1 else classes[0]
-        return C.ultraconnected_witness(ring, classes[0], b)
-    if prop == "sep-nbhd":
-        frag = fragment()
-        iso = [p for p in frag.points if len(frag.basic_open(p)) == 1]
-        if len(iso) < 3:
-            raise UsageError(
-                "sep-nbhd needs three non-associated irreducibles; "
-                f"the seed fragment only has {len(iso)}"
-            )
-        return C.no_disjoint_nbhd_witness(ring, iso[0], iso[1], iso[2])
-    if prop == "regular":
-        return C.non_regular_witness(ring, classes[0])
-    if prop == "compact":
-        return C.non_compact_witness(ring, classes[0], classes)
-    if prop == "chain":
-        return C.noetherian_chain(ring, classes[0], args.n)
-    if prop == "maximal":
-        return C.maximal_basic_open(fragment(), classes)
+def _sep_nbhd_report(ring: Ring, classes: list, n: int, fragment) -> CheckReport:
+    iso = fragment().isolated().classes()
+    if len(iso) < 3:
+        raise UsageError(
+            "sep-nbhd needs three non-associated irreducibles; "
+            f"the seed fragment only has {len(iso)}"
+        )
+    return C.no_disjoint_nbhd_witness(ring, *iso[:3])
+
+
+# every prop in help order: (its expected verdict or a function of the ring
+# giving it, its runner (ring, classes, n, fragment)); n is the chain length,
+# fragment() the seeds' fragment, classes[:2][-1] the second seed or the first
+PROPS = {
+    "t0": (HOLDS, lambda ring, cs, n, frag: C.check_t0(frag())),
+    "t1": (WITNESS, lambda ring, cs, n, frag: C.t1_failure_witness(ring, cs[0])),
+    "isolated": (HOLDS, lambda ring, cs, n, frag: C.isolated_points(frag())),
+    "nested": (
+        lambda ring: HOLDS if ring.caps.is_valuation else FAILS,
+        lambda ring, cs, n, frag: C.check_nested(frag()),
+    ),
+    "gcd-intersection": (
+        lambda ring: HOLDS if ring.caps.has_gcd else WITNESS,
+        lambda ring, cs, n, frag: _intersection_report(ring, cs, frag),
+    ),
+    "density": (HOLDS, lambda ring, cs, n, frag: C.density_check(ring, cs)),
+    "dense-open": (HOLDS, lambda ring, cs, n, frag: C.dense_open_check(frag())),
+    "ultra": (WITNESS, lambda ring, cs, n, frag: C.ultraconnected_witness(ring, cs[0], cs[:2][-1])),
+    "sep-nbhd": (WITNESS, _sep_nbhd_report),
+    "regular": (WITNESS, lambda ring, cs, n, frag: C.non_regular_witness(ring, cs[0])),
+    "compact": (WITNESS, lambda ring, cs, n, frag: C.non_compact_witness(ring, cs[0], cs)),
+    "chain": (WITNESS, lambda ring, cs, n, frag: C.noetherian_chain(ring, cs[0], n)),
+    "maximal": (WITNESS, lambda ring, cs, n, frag: C.maximal_basic_open(frag(), cs)),
+}
+
+
+def expected_verdict(prop: str, ring: Ring) -> str:
+    verdict = PROPS[prop][0]
+    return verdict(ring) if callable(verdict) else verdict
 
 
 def cmd_fragment(args) -> int:
-    ring = _ring_from_args(args)
+    ring = make_ring(args.ring, args.p)
     fragment = build_fragment(ring, _seed_classes(ring, args.seeds))
     if args.out == "dot":
         sys.stdout.write(fragment_to_dot(fragment))
     elif args.out == "text":
-        print(f"ring: {ring.name}")
-        print("points:", " ".join(p.text for p in fragment.points))
         texts = [p.text for p in fragment.points]
-        edges = " ".join(f"{texts[i]}->{texts[j]}" for i, j in fragment.covering_pairs())
-        print("edges:", edges)
+        print(f"ring: {ring.name}")
+        print("points:", " ".join(texts))
+        print("edges:", " ".join(f"{texts[i]}->{texts[j]}" for i, j in fragment.covering_pairs()))
     else:
         print(fragment_to_json(fragment))
     return 0
 
 
 def cmd_check(args) -> int:
-    ring = _ring_from_args(args)
+    ring = make_ring(args.ring, args.p)
     classes = _seed_classes(ring, args.seeds)
     props = [p.strip() for p in args.props.split(",") if p.strip()]
     if not props:
@@ -170,7 +138,7 @@ def cmd_check(args) -> int:
     fragment = cache(lambda: build_fragment(ring, classes))
     status = 0
     for prop in props:
-        report = _run_prop(prop, ring, classes, fragment, args)
+        report = PROPS[prop][1](ring, classes, args.n, fragment)
         if args.out == "text":
             wt = " ".join(report.witness_texts())
             print(f"{report.check}: {report.verdict}" + (f" [{wt}]" if wt else ""))
@@ -182,14 +150,9 @@ def cmd_check(args) -> int:
 
 
 def cmd_primes(args) -> int:
-    if args.ring not in PRIME_START:
-        raise UsageError(
-            f"--ring {args.ring} does not support the prime stream "
-            "(needs unique factorization and a finite unit group)"
-        )
-    ring = _ring_from_args(args)
-    start_text = args.start if args.start else PRIME_START[args.ring]
-    start = PrimeList(ring.name, tuple(_seed_classes(ring, start_text)))
+    ring = make_ring(args.ring, args.p)
+    require_stream_capability(ring)
+    start = PrimeList(ring.name, tuple(_seed_classes(ring, args.start or PRIME_START[ring.tag])))
     out = prime_stream(ring, start, args.count)
     print(primes_to_json(ring, out.members))
     return 0

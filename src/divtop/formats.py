@@ -65,8 +65,12 @@ def fragment_from_json(text: str) -> Fragment:
         raise DivtopError(f"not a JSON document: {exc}") from None
     if not isinstance(doc, dict):
         raise DivtopError("a fragment document is a JSON object")
-    if doc.get("schema") != SCHEMA:
-        raise DivtopError(f"unsupported schema {doc.get('schema')!r}")
+    schema = doc.get("schema")
+    if schema != SCHEMA:
+        if not isinstance(schema, str):
+            raise DivtopError(f"unsupported schema of type {type(schema).__name__}")
+        shown = repr(schema) if len(schema) <= 64 else f"of {len(schema)} characters"
+        raise DivtopError(f"unsupported schema {shown}")
     ring = ring_from_descriptor(doc.get("ring"))
     seed_texts, point_texts = _texts(doc, "seeds"), _texts(doc, "points")
     seeds = tuple(ring.canonical_class(ring.parse(t)) for t in seed_texts)

@@ -29,9 +29,6 @@ SMALL_PRIMES = tuple(
 
 # Rho steps per ``factor`` call.  A product of two primes near 10^9 (the
 # gauss norm bound is 10^18) took at most 1.2e5 steps in 300 random draws.
-# A round of Brent's loop starts only when it fits in what is left, and the
-# rounds double, so a power of two lets the first polynomial use nearly all
-# of it.
 RHO_BUDGET = 1 << 20
 RHO_BATCH = 128  # steps per gcd
 
@@ -120,28 +117,35 @@ def is_prime(n: int) -> bool:
 def _rho(n: int, c: int, budget: int) -> tuple:
     """Brent's rho on x -> x^2 + c mod n, for composite n free of small
     primes: (a divisor of n other than 1, or None when ``budget`` steps ran
-    out first; the steps taken).  The divisor may be n itself."""
+    out first; the steps taken, never more than ``budget``).  The divisor
+    may be n itself."""
     y, r, q, g, steps = 2, 1, 1, 1, 0
     while g == 1:
-        if steps + 2 * r > budget:
+        if steps + r >= budget:
             return None, steps
         x = y
         for _ in range(r):
             y = (y * y + c) % n
+        steps += r
         k = 0
         while k < r and g == 1:
+            batch = min(RHO_BATCH, r - k, budget - steps)
+            if batch == 0:
+                return None, steps
             ys = y
-            for _ in range(min(RHO_BATCH, r - k)):
+            for _ in range(batch):
                 y = (y * y + c) % n
                 q = q * (x - y) % n
             g = math.gcd(q, n)
-            k += RHO_BATCH
-        steps += r + min(k, r)
+            k += batch
+            steps += batch
         r *= 2
     if g == n:
         # the batch overshot: step again one at a time from its start
         g = 1
         while g == 1:
+            if steps == budget:
+                return None, steps
             ys = (ys * ys + c) % n
             g = math.gcd(x - ys, n)
             steps += 1

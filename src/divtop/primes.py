@@ -31,12 +31,14 @@ class PrimeList:
         return len(self.members)
 
 
-def _require_stream_capability(ring: Ring) -> None:
+def require_stream_capability(ring: Ring) -> None:
+    """Refuse a ring without unique factorization or with infinitely many units."""
     if not ring.caps.is_ufd:
-        raise CapabilityMissing(f"{ring.name} is not a UFD")
+        raise CapabilityMissing(f"{ring.name} does not support the prime stream: it is not a UFD")
     if not ring.caps.unit_count.is_finite:
         raise CapabilityMissing(
-            f"{ring.name} has infinitely many units; the construction needs a finite unit group"
+            f"{ring.name} does not support the prime stream: it has infinitely many units,"
+            " and the construction needs a finite unit group"
         )
 
 
@@ -50,7 +52,7 @@ def _validate_members(ring: Ring, members: Sequence[ClassId]) -> None:
 
 def euclid_step(ring: Ring, primes: PrimeList) -> ClassId:
     """One growth step: returns a prime class not associated to any member."""
-    _require_stream_capability(ring)
+    require_stream_capability(ring)
     members = primes.members
     if not members:
         raise ParameterError("prime list must be nonempty")

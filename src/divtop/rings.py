@@ -241,6 +241,7 @@ class Ring:
 
     tag: str = ""
     p: Optional[int] = None
+    P_MAX: Optional[int] = None  # bound on p; None for the rings that take no p
     caps: Capabilities
 
     # -- identity ----------------------------------------------------------
@@ -384,25 +385,19 @@ class Ring:
         reps = sorted(self._factor_reps(a), key=self.sort_key)
         return tuple(self._class(r) for r in reps)
 
-    def gcd_class(self, a, b) -> Optional[ClassId]:
+    def _operand_gcd(self, a, b):
         if not self.caps.has_gcd:
             raise CapabilityMissing(f"{self.name} has no gcd")
         self._require_operand(a)
         self._require_operand(b)
-        g = self._gcd(a, b)
-        if g is None or self.is_unit(g):
-            return None
-        return self._class(self.canonical(g))
+        return self._gcd(a, b)
+
+    def gcd_class(self, a, b) -> Optional[ClassId]:
+        g = self._operand_gcd(a, b)
+        return None if self.is_unit(g) else self._class(self.canonical(g))
 
     def lcm_class(self, a, b) -> ClassId:
-        if not self.caps.has_gcd:
-            raise CapabilityMissing(f"{self.name} has no gcd")
-        self._require_operand(a)
-        self._require_operand(b)
-        g = self._gcd(a, b)
-        if g is None or self.is_unit(g):
-            g = self.one()
-        quot = self.divide(self.mul(a, b), g)
+        quot = self.divide(self.mul(a, b), self._operand_gcd(a, b))
         return self._class(self.canonical(quot))
 
     def mul_class(self, ca: ClassId, cb: ClassId) -> ClassId:
@@ -1001,23 +996,21 @@ class PPowerRing(Ring):
 # ---------------------------------------------------------------------------
 # registry
 
-RING_TAGS = ("z", "gauss", "fp", "zs5", "valp")
+RINGS = {r.tag: r for r in (IntegerRing, GaussianRing, PolynomialRing, RootMinus5Ring, PPowerRing)}
+RING_TAGS = tuple(RINGS)
 
 
 @lru_cache(maxsize=None)
 def make_ring(tag: str, p: Optional[int] = None) -> Ring:
-    if tag == "z":
-        return IntegerRing()
-    if tag == "gauss":
-        return GaussianRing()
-    if tag == "zs5":
-        return RootMinus5Ring()
-    if tag == "fp":
-        if p is None:
-            raise ModulusMissing("fp needs a modulus p")
-        return PolynomialRing(p)
-    if tag == "valp":
-        if p is None:
-            raise ModulusMissing("valp needs a prime p")
-        return PPowerRing(p)
-    raise ParameterError(f"unknown ring tag {tag!r}")
+    """The ring with this tag; rings with a ``P_MAX`` take a prime p, the
+    others none."""
+    if tag not in RINGS:
+        raise ParameterError(f"unknown ring tag {tag!r}")
+    cls = RINGS[tag]
+    if cls.P_MAX is None:
+        if p is not None:
+            raise ParameterError(f"p does not apply to ring {tag}")
+        return cls()
+    if p is None:
+        raise ModulusMissing(f"ring {tag} needs a prime p")
+    return cls(p)

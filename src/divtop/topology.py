@@ -154,6 +154,10 @@ class Fragment:
         """In-fragment divisors of p: also the smallest open containing p."""
         return PointSet(self, self._cols[self.index_of(p)])
 
+    def isolated(self) -> PointSet:
+        """Points whose basic open is the point alone."""
+        return PointSet(self, sum(1 << j for j, col in enumerate(self._cols) if col == 1 << j))
+
     def specializes(self, p: ClassId, q: ClassId) -> bool:
         """True when q lies in the closure of {p}, i.e. p divides q."""
         return bool(self._rows[self.index_of(p)] >> self.index_of(q) & 1)

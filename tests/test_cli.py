@@ -4,6 +4,7 @@ import ast
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from functools import cache
@@ -17,6 +18,7 @@ import divtop
 from divtop import cli, rings
 from divtop.cli import main
 from divtop.formats import report_to_json
+from divtop.intarith import RHO_BUDGET
 from divtop.rings import Root5
 from divtop.topology import build_fragment
 
@@ -66,7 +68,7 @@ def test_fragment_bad_syntax_exits_2(capsys):
 
 def test_modulus_required(capsys):
     code, _, err = run(capsys, "fragment", "--ring", "fp", "--seeds", "x")
-    assert code == 2 and "--p is required" in err
+    assert code == 2 and "ring fp needs a prime p" in err
     code, _, err = run(capsys, "fragment", "--ring", "z", "--p", "3", "--seeds", "4")
     assert code == 2 and "does not apply" in err
 
@@ -131,6 +133,32 @@ def test_check_witness_props(capsys):
     assert chain["details"]["sizes"] == [1, 2, 3, 4, 5, 6]
 
 
+@pytest.mark.parametrize(
+    "ring_args",
+    [
+        ("--ring", "z", "--seeds", "30"),
+        ("--ring", "gauss", "--seeds", "3+9i"),
+        ("--ring", "fp", "--p", "3", "--seeds", "x^3+2x", "--n", "4"),
+        ("--ring", "zs5", "--seeds", "6"),
+        ("--ring", "valp", "--p", "2", "--seeds", "p^3"),
+    ],
+    ids=rings.RING_TAGS,
+)
+def test_every_prop_in_one_call_reports_in_table_order(capsys, ring_args):
+    # valp has a single irreducible, too few for sep-nbhd
+    props = [p for p in cli.PROPS if not (ring_args[1] == "valp" and p == "sep-nbhd")]
+    code, out, err = run(capsys, "check", *ring_args, "--props", ",".join(props))
+    assert code == 0 and err == ""
+    assert [json.loads(line)["check"] for line in out.splitlines()] == props
+
+
+def test_readme_lists_the_props_and_rings_in_table_order():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    props = re.search(r"Available props for `check`:\s*`([^`]*)`", readme).group(1)
+    assert [p.strip() for p in props.split(",")] == list(cli.PROPS)
+    assert re.findall(r"^\| `(\w+)`", readme, re.MULTILINE) == list(rings.RING_TAGS)
+
+
 def test_check_sep_nbhd_needs_three_irreducibles(capsys):
     code, _, err = run(
         capsys, "check", "--ring", "valp", "--p", "2", "--seeds", "p^9", "--props", "sep-nbhd"
@@ -181,6 +209,20 @@ def test_primes_gauss_permitted(capsys):
     code, out, _ = run(capsys, "primes", "--ring", "gauss", "--count", "1")
     assert code == 0
     assert json.loads(out)["members"] == ["1+1i", "2+1i"]
+
+
+def test_z_stream_from_2_has_15_members_and_refuses_the_16th(capsys):
+    code, out, _ = run(capsys, "primes", "--ring", "z", "--start", "2", "--count", "14")
+    assert code == 0
+    members = json.loads(out)["members"]
+    assert members[-2:] == ["90679", "67"] and len(members) == 15
+    # the next candidate has 37 digits, two of its prime factors near 10^17
+    code, out, err = run(
+        capsys, "primes", "--ring", "z", "--start", ",".join(members), "--count", "1"
+    )
+    assert code == 2 and out == ""
+    budget = f"rho budget of {RHO_BUDGET} steps"
+    assert err == f"error: factoring a 35-digit integer exceeds the {budget}\n"
 
 
 def test_primes_valp_exits_2(capsys):

@@ -187,6 +187,28 @@ def test_modulus_missing():
         ring_from_descriptor({"tag": "valp"})
 
 
+def test_descriptor_p_on_a_ring_without_one():
+    with pytest.raises(DivtopError, match="p does not apply to ring z"):
+        ring_from_descriptor({"tag": "z", "p": 5})
+
+
+@pytest.mark.parametrize(
+    "schema, shown",
+    [
+        ("divtop/2", "'divtop/2'"),
+        ("x" * 10**6, "of 1000000 characters"),
+        (list(range(10**5)), "of type list"),
+        (None, "of type NoneType"),
+    ],
+    ids=["short", "long", "list", "missing"],
+)
+def test_unsupported_schema_is_named_briefly(schema, shown):
+    with pytest.raises(DivtopError) as exc:
+        fragment_from_json(json.dumps({"schema": schema}))
+    assert str(exc.value) == f"unsupported schema {shown}"
+    assert len(str(exc.value).encode()) < 200
+
+
 def test_parse_fmt_roundtrip():
     rng = random.Random(101)
     elems = {

@@ -108,6 +108,24 @@ def test_largest_semiprime_under_the_gauss_norm_bound_factors(rho_steps):
     assert 0 < sum(rho_steps) < RHO_BUDGET // 8
 
 
+def test_rho_budget_may_be_spent_in_full(rho_steps):
+    # the 14th candidate of the z prime stream from 2: splitting off 90679
+    # takes 510 steps, and the 25-digit cofactor splits at step 835838 of its
+    # run, inside a round of 2^18 that does not fit whole in what is left
+    x = 190424618066103228779038409687
+    assert factor(x) == factorint(x) == {90679: 1, 446906737493: 1, 4698935341021: 1}
+    assert RHO_BUDGET // 2 < sum(rho_steps) <= RHO_BUDGET
+
+
+@settings(max_examples=200, deadline=None)
+@given(semiprime_like(10**3, 10**6), st.integers(min_value=1, max_value=4000))
+@example(1009 * 1709, 120)  # a batch finds n itself, and stepping back would pass 120
+def test_rho_never_takes_more_steps_than_its_budget(n, budget):
+    d, steps = intarith._rho(n, 1, budget)
+    assert steps <= budget
+    assert d is None or (d > 1 and n % d == 0)
+
+
 def test_rho_retries_with_the_next_polynomial():
     # x^2 + 1 meets its cycle mod 1009 and mod 1709 at the same step, so the
     # first rho run finds only n itself

@@ -10,13 +10,15 @@ from hypothesis import strategies as st
 from divtop.errors import (
     CapabilityMissing,
     FragmentTooLarge,
+    ModulusMissing,
+    ParameterError,
     RingMismatch,
     SizeGuard,
     UnitElement,
     ZeroDivisor,
     ZeroElement,
 )
-from divtop.rings import Gauss, PPow, Root5, make_ring
+from divtop.rings import RING_TAGS, Gauss, PPow, Root5, make_ring
 
 from oracles import (
     divisor_classes_oracle,
@@ -308,6 +310,18 @@ def test_fp_factor_guards():
     for op in (F2.factor, F2.is_irreducible):
         with pytest.raises(SizeGuard, match="degree 13 exceeds the fp bound 12"):
             op(F2.poly([1] * 14))
+
+
+@pytest.mark.parametrize("tag", RING_TAGS)
+def test_make_ring_takes_p_exactly_on_fp_and_valp(tag):
+    if tag in ("fp", "valp"):
+        assert make_ring(tag, 5).name == f"{tag}(5)"
+        with pytest.raises(ModulusMissing, match=f"^ring {tag} needs a prime p$"):
+            make_ring(tag)
+    else:
+        assert make_ring(tag).name == tag
+        with pytest.raises(ParameterError, match=f"^p does not apply to ring {tag}$"):
+            make_ring(tag, 5)
 
 
 FP_LARGE = tuple(make_ring("fp", p) for p in (5, 7, 13, 17))

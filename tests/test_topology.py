@@ -16,7 +16,12 @@ from divtop.errors import (
 from divtop.rings import Gauss, PPow, Root5, make_ring
 from divtop.topology import build_fragment
 
-from oracles import covering_pairs_oracle, divisibility_oracle, down_sets_oracle
+from oracles import (
+    covering_pairs_oracle,
+    divisibility_oracle,
+    down_sets_oracle,
+    isolated_oracle,
+)
 from strategies import RING_SEEDS
 
 Z = make_ring("z")
@@ -139,6 +144,14 @@ def test_baseline_gauss_720720_build():
     f = build_fragment(G, [G.canonical_class(Gauss(720720, 0))])
     assert len(f) == 1727
     assert len(f.covering_pairs()) > len(f)
+
+
+@given(RING_SEEDS)
+@settings(max_examples=100, deadline=None)
+def test_isolated_matches_oracle(ring_seeds):
+    ring, seeds = ring_seeds
+    f = build_fragment(ring, seeds)
+    assert list(f.isolated().texts()) == isolated_oracle(f).details["isolated"]
 
 
 def test_build_fragment_validation():
