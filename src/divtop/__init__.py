@@ -22,22 +22,19 @@ from .formats import (
     fragment_to_json,
     report_to_json,
 )
-from .primes import PrimeList, euclid_step, prime_stream
+from .primes import euclid_step, prime_stream
 from .rings import (
-    Capabilities,
     ClassId,
     Gauss,
     Poly,
     PPow,
     Ring,
     Root5,
-    UnitCount,
     make_ring,
 )
 from .topology import Fragment, PointSet, build_fragment
 
 __all__ = [
-    "Capabilities",
     "CheckReport",
     "ClassId",
     "Fragment",
@@ -45,10 +42,8 @@ __all__ = [
     "PPow",
     "PointSet",
     "Poly",
-    "PrimeList",
     "Ring",
     "Root5",
-    "UnitCount",
     "basis_intersection",
     "build_fragment",
     "check_nested",

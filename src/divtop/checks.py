@@ -17,7 +17,6 @@ from .errors import (
     AssociatedInputs,
     EmptyFamily,
     FragmentTooLargeForEnumeration,
-    NotAtomic,
     NotIrreducible,
     ParameterError,
     RingMismatch,
@@ -158,7 +157,7 @@ def check_nested(fragment: Fragment) -> CheckReport:
     them lie above i, since a lower one would have failed first.
     """
     pts = fragment.points
-    valuation = fragment.ring.caps.is_valuation
+    valuation = fragment.ring.is_valuation
     for i, (row, col) in enumerate(zip(fragment._rows, fragment._cols)):
         apart = ~(row | col) & fragment.full_bits
         if apart:
@@ -186,7 +185,7 @@ def basis_intersection(ring: Ring, a: ClassId, b: ClassId) -> CheckReport:
     witness set on rings without gcd."""
     if a.ring != ring.name or b.ring != ring.name:
         raise RingMismatch(f"classes {a.ring}/{b.ring} do not belong to {ring.name}")
-    if not ring.caps.has_gcd:
+    if not ring.has_gcd:
         return fragment_intersection(build_fragment(ring, [a]), a, b)
     inter = ring.divisor_classes(a.rep) & ring.divisor_classes(b.rep)
     details = {"left": a.text, "right": b.text, "intersection": _texts(inter)}
@@ -223,15 +222,12 @@ def fragment_intersection(fragment: Fragment, a: ClassId, b: ClassId) -> CheckRe
 
 def density_check(ring: Ring, samples: Sequence[ClassId]) -> CheckReport:
     """Every sampled basic open contains an irreducible class."""
-    if not ring.caps.is_atomic:
-        raise NotAtomic(f"{ring.name} is not atomic")
     samples = list(samples)
     finds = []
     missing = []
     for a in samples:
-        qs = ring.factor(a.rep)
-        q = qs[0] if qs else None
-        if q is None or not ring.divides(q.rep, a.rep):
+        q = ring.factor(a.rep)[0]
+        if not ring.divides(q.rep, a.rep):
             missing.append(a)
         else:
             finds.append([a.text, q.text])

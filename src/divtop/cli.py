@@ -22,7 +22,7 @@ from .formats import (
     primes_to_json,
     report_to_json,
 )
-from .primes import PrimeList, prime_stream, require_stream_capability
+from .primes import prime_stream, require_stream_capability
 from .rings import RING_TAGS, Ring, make_ring
 from .topology import build_fragment
 
@@ -57,7 +57,7 @@ def _intersection_report(ring: Ring, classes: list, fragment) -> CheckReport:
     divide b, so g ~ b would divide a.  So b is the first product that is no
     point of a's fragment, and the report below recomputes the verdict."""
     a, b = classes[0], classes[:2][-1]
-    if ring.caps.has_gcd:
+    if ring.has_gcd:
         return C.basis_intersection(ring, a, b)
     # a Z[sqrt(-5)] norm <= 10^8 has at most 1440 ideal divisors (found by a scan), so
     # a fragment of two seeds stays under POINT_CAP; more seeds might not
@@ -87,11 +87,11 @@ PROPS = {
     "t1": (WITNESS, lambda ring, cs, n, frag: C.t1_failure_witness(ring, cs[0])),
     "isolated": (HOLDS, lambda ring, cs, n, frag: C.isolated_points(frag())),
     "nested": (
-        lambda ring: HOLDS if ring.caps.is_valuation else FAILS,
+        lambda ring: HOLDS if ring.is_valuation else FAILS,
         lambda ring, cs, n, frag: C.check_nested(frag()),
     ),
     "gcd-intersection": (
-        lambda ring: HOLDS if ring.caps.has_gcd else WITNESS,
+        lambda ring: HOLDS if ring.has_gcd else WITNESS,
         lambda ring, cs, n, frag: _intersection_report(ring, cs, frag),
     ),
     "density": (HOLDS, lambda ring, cs, n, frag: C.density_check(ring, cs)),
@@ -152,9 +152,8 @@ def cmd_check(args) -> int:
 def cmd_primes(args) -> int:
     ring = make_ring(args.ring, args.p)
     require_stream_capability(ring)
-    start = PrimeList(ring.name, tuple(_seed_classes(ring, args.start or PRIME_START[ring.tag])))
-    out = prime_stream(ring, start, args.count)
-    print(primes_to_json(ring, out.members))
+    start = _seed_classes(ring, args.start or PRIME_START[ring.tag])
+    print(primes_to_json(ring, prime_stream(ring, start, args.count)))
     return 0
 
 

@@ -25,10 +25,6 @@ class CapabilityMissing(DivtopError):
     """The ring does not support the requested operation."""
 
 
-class NotAtomic(CapabilityMissing):
-    """Factorization requested on a ring without the atomic capability."""
-
-
 class ParameterError(DivtopError, ValueError):
     """A ring, check or stream parameter is out of range."""
 

@@ -38,15 +38,18 @@ def _dumps(doc) -> str:
     return json.dumps(doc, separators=(",", ":"))
 
 
+def _edges(fragment: Fragment, texts: list) -> list:
+    return [[texts[i], texts[j]] for i, j in fragment.covering_pairs()]
+
+
 def fragment_to_json(fragment: Fragment) -> str:
     texts = [p.text for p in fragment.points]
-    edges = [[texts[i], texts[j]] for i, j in fragment.covering_pairs()]
     doc = {
         "schema": SCHEMA,
         "ring": ring_descriptor(fragment.ring),
         "seeds": [s.text for s in fragment.seeds],
         "points": texts,
-        "edges": edges,
+        "edges": _edges(fragment, texts),
     }
     return _dumps(doc)
 
@@ -78,6 +81,8 @@ def fragment_from_json(text: str) -> Fragment:
     points = [p.text for p in fragment.points]
     if points != point_texts:
         raise DivtopError("point list does not match the fragment its seeds build")
+    if doc.get("edges") != _edges(fragment, points):
+        raise DivtopError("edge list does not match the covering pairs of the fragment")
     return fragment
 
 

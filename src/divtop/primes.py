@@ -5,37 +5,26 @@ x_m = a_1^m + a_2*a_3*...*a_n (empty tail product = 1) is, for the first m
 making it a nonzero non-unit, divisible by none of the a_i; any irreducible
 factor of it is therefore a brand-new prime class.  Iterating grows the list
 without bound.  Works only where factorization is unique and the unit group
-is finite; both are read off the ring's capability metadata.
+is finite; both are read off the ring's class attributes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import AssociatedInputs, CapabilityMissing, NotIrreducible, ParameterError, SizeGuard
+from .errors import (
+    AssociatedInputs, CapabilityMissing, NotIrreducible, ParameterError, RingMismatch, SizeGuard
+)
 from .rings import ClassId, Ring
 
 M_CAP = 64  # with >= 2 primes m = 1 already works; this is defensive
 
 
-@dataclass(frozen=True)
-class PrimeList:
-    ring: str
-    members: tuple
-
-    def texts(self) -> list:
-        return [c.text for c in self.members]
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
 def require_stream_capability(ring: Ring) -> None:
     """Refuse a ring without unique factorization or with infinitely many units."""
-    if not ring.caps.is_ufd:
+    if not ring.is_ufd:
         raise CapabilityMissing(f"{ring.name} does not support the prime stream: it is not a UFD")
-    if not ring.caps.unit_count.is_finite:
+    if not ring.finite_units:
         raise CapabilityMissing(
             f"{ring.name} does not support the prime stream: it has infinitely many units,"
             " and the construction needs a finite unit group"
@@ -43,6 +32,9 @@ def require_stream_capability(ring: Ring) -> None:
 
 
 def _validate_members(ring: Ring, members: Sequence[ClassId]) -> None:
+    for c in members:
+        if c.ring != ring.name:
+            raise RingMismatch(f"member {c} does not belong to {ring.name}")
     if len(set(members)) != len(members):
         raise AssociatedInputs("prime list members must be pairwise non-associated")
     for c in members:
@@ -50,10 +42,9 @@ def _validate_members(ring: Ring, members: Sequence[ClassId]) -> None:
             raise NotIrreducible(f"{c.text} is not prime in {ring.name}")
 
 
-def euclid_step(ring: Ring, primes: PrimeList) -> ClassId:
+def euclid_step(ring: Ring, members: Sequence[ClassId]) -> ClassId:
     """One growth step: returns a prime class not associated to any member."""
     require_stream_capability(ring)
-    members = primes.members
     if not members:
         raise ParameterError("prime list must be nonempty")
     _validate_members(ring, members)
@@ -76,12 +67,11 @@ def euclid_step(ring: Ring, primes: PrimeList) -> ClassId:
     return min(factors, key=ring.class_sort_key)
 
 
-def prime_stream(ring: Ring, start: PrimeList, count: int) -> PrimeList:
-    """Extend the list by count new pairwise non-associated primes."""
+def prime_stream(ring: Ring, start: Sequence[ClassId], count: int) -> tuple:
+    """start extended by count new pairwise non-associated primes."""
     if count < 1:
         raise ParameterError("count must be >= 1")
-    members = list(start.members)
+    members = tuple(start)
     for _ in range(count):
-        q = euclid_step(ring, PrimeList(ring.name, tuple(members)))
-        members.append(q)
-    return PrimeList(ring.name, tuple(members))
+        members += (euclid_step(ring, members),)
+    return members

@@ -30,7 +30,6 @@ from .errors import (
     ElementSyntaxError,
     FragmentTooLarge,
     ModulusMissing,
-    NotAtomic,
     ParameterError,
     RingMismatch,
     SizeGuard,
@@ -39,40 +38,6 @@ from .errors import (
     ZeroElement,
 )
 from .intarith import factor, is_prime, sqrt_minus_one
-
-# ---------------------------------------------------------------------------
-# capability metadata
-
-
-@dataclass(frozen=True)
-class UnitCount:
-    kind: str  # "finite" | "countably-infinite" | "uncountable"
-    n: Optional[int] = None
-
-    @classmethod
-    def finite(cls, n: int) -> "UnitCount":
-        return cls("finite", n)
-
-    @classmethod
-    def countable(cls) -> "UnitCount":
-        return cls("countably-infinite")
-
-    @property
-    def is_finite(self) -> bool:
-        return self.kind == "finite"
-
-
-@dataclass(frozen=True)
-class Capabilities:
-    has_gcd: bool
-    is_valuation: bool
-    is_atomic: bool
-    is_ufd: bool
-    unit_count: UnitCount
-    # metadata, never computed: every built-in ring has countably many
-    # association classes (second countability comes for free from that)
-    countable_classes: bool = True
-
 
 # ---------------------------------------------------------------------------
 # element value types
@@ -242,7 +207,11 @@ class Ring:
     tag: str = ""
     p: Optional[int] = None
     P_MAX: Optional[int] = None  # bound on p; None for the rings that take no p
-    caps: Capabilities
+    # the algebraic facts the checks and the prime stream read off a ring
+    has_gcd = True
+    is_ufd = True
+    is_valuation = False
+    finite_units = True
 
     # -- identity ----------------------------------------------------------
 
@@ -380,13 +349,11 @@ class Ring:
 
     def factor(self, a) -> tuple:
         self._require_operand(a)
-        if not self.caps.is_atomic:
-            raise NotAtomic(f"{self.name} is not atomic")
         reps = sorted(self._factor_reps(a), key=self.sort_key)
         return tuple(self._class(r) for r in reps)
 
     def _operand_gcd(self, a, b):
-        if not self.caps.has_gcd:
+        if not self.has_gcd:
             raise CapabilityMissing(f"{self.name} has no gcd")
         self._require_operand(a)
         self._require_operand(b)
@@ -418,13 +385,6 @@ class Ring:
 
 class IntegerRing(Ring):
     tag = "z"
-    caps = Capabilities(
-        has_gcd=True,
-        is_valuation=False,
-        is_atomic=True,
-        is_ufd=True,
-        unit_count=UnitCount.finite(2),
-    )
 
     ENUM_MAX = 10**12  # divisor enumeration bound
     VALUE_MAX = 10**120  # defensive cap for factor/irreducibility
@@ -494,13 +454,6 @@ class IntegerRing(Ring):
 
 class GaussianRing(Ring):
     tag = "gauss"
-    caps = Capabilities(
-        has_gcd=True,
-        is_valuation=False,
-        is_atomic=True,
-        is_ufd=True,
-        unit_count=UnitCount.finite(4),
-    )
 
     NORM_MAX = 10**18
 
@@ -607,13 +560,6 @@ class PolynomialRing(Ring):
         if p > self.P_MAX or not is_prime(p):
             raise ParameterError(f"fp modulus must be a prime <= {self.P_MAX}, got {_echo(p)}")
         self.p = p
-        self.caps = Capabilities(
-            has_gcd=True,
-            is_valuation=False,
-            is_atomic=True,
-            is_ufd=True,
-            unit_count=UnitCount.finite(p - 1),
-        )
 
     def poly(self, coeffs) -> Poly:
         return Poly(self.p, _trim(c % self.p for c in coeffs))
@@ -787,13 +733,8 @@ class PolynomialRing(Ring):
 
 class RootMinus5Ring(Ring):
     tag = "zs5"
-    caps = Capabilities(
-        has_gcd=False,
-        is_valuation=False,
-        is_atomic=True,
-        is_ufd=False,
-        unit_count=UnitCount.finite(2),
-    )
+    has_gcd = False
+    is_ufd = False
 
     NORM_MAX = 10**8
 
@@ -900,6 +841,10 @@ class RootMinus5Ring(Ring):
 
 class PPowerRing(Ring):
     tag = "valp"
+    is_valuation = True
+    # the full local ring has infinitely many units, so the finite-unit
+    # prime generator refuses this adapter
+    finite_units = False
 
     K_MAX = 4096
     P_MAX = 10**120  # as z's VALUE_MAX; a primality test of a 4000-digit p takes seconds
@@ -908,19 +853,10 @@ class PPowerRing(Ring):
         if p > self.P_MAX or not is_prime(p):
             raise ParameterError(f"valp parameter must be a prime <= 10^120, got {_echo(p)}")
         self.p = p
-        self.caps = Capabilities(
-            has_gcd=True,
-            is_valuation=True,
-            is_atomic=True,
-            is_ufd=True,
-            # the full local ring has infinitely many units, so the finite-unit
-            # prime generator refuses this adapter
-            unit_count=UnitCount.countable(),
-        )
 
     def element(self, k: int) -> PPow:
         if k < 0:
-            raise ValueError("valuation exponent must be >= 0")
+            raise ParameterError("valuation exponent must be >= 0")
         return PPow(self.p, k)
 
     def _check(self, e) -> None:
@@ -1005,7 +941,8 @@ def make_ring(tag: str, p: Optional[int] = None) -> Ring:
     """The ring with this tag; rings with a ``P_MAX`` take a prime p, the
     others none."""
     if tag not in RINGS:
-        raise ParameterError(f"unknown ring tag {tag!r}")
+        shown = repr(tag) if len(str(tag)) <= 64 else f"of {len(str(tag))} characters"
+        raise ParameterError(f"unknown ring tag {shown}")
     cls = RINGS[tag]
     if cls.P_MAX is None:
         if p is not None:

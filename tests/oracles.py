@@ -238,7 +238,7 @@ def t0_oracle(fragment) -> CheckReport:
 def nested_oracle(fragment) -> CheckReport:
     """check_nested by comparing the basic opens of every pair (i, j), i < j."""
     pts = fragment.points
-    valuation = fragment.ring.caps.is_valuation
+    valuation = fragment.ring.is_valuation
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             oi, oj = fragment.basic_open(pts[i]), fragment.basic_open(pts[j])
@@ -281,7 +281,7 @@ def isolated_oracle(fragment) -> CheckReport:
 def basis_intersection_oracle(ring, a, b) -> CheckReport:
     """basis_intersection with frozenset divisor sets: on a ring without gcd,
     a member whose own divisor set is the whole intersection generates it."""
-    if ring.caps.has_gcd:
+    if ring.has_gcd:
         return C.basis_intersection(ring, a, b)
     inter = ring.divisor_classes(a.rep) & ring.divisor_classes(b.rep)
     details = {"left": a.text, "right": b.text, "intersection": sorted(c.text for c in inter)}
@@ -304,7 +304,7 @@ def intersection_pair_oracle(ring, classes) -> tuple:
     if len(classes) >= 2:
         return classes[0], classes[1]
     a = classes[0]
-    if not ring.caps.has_gcd:
+    if not ring.has_gcd:
         irr = sorted(
             (c for c in ring.divisor_classes(a.rep) if ring.is_irreducible(c.rep)),
             key=ring.class_sort_key,

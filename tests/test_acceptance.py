@@ -16,7 +16,7 @@ from sympy import factorint, isprime
 from divtop import checks as C
 from divtop.cli import main as cli_main
 from divtop.errors import SizeGuard
-from divtop.primes import PrimeList, prime_stream
+from divtop.primes import prime_stream
 from divtop.rings import Gauss, PPow, Root5, make_ring
 from divtop.topology import build_fragment
 
@@ -223,9 +223,9 @@ def _recompute_candidate(ring, members):
 
 def test_criterion_08_prime_stream():
     with criterion(8, 5.0, "prime stream grows 10 (z) and 5+5 (fp) new primes"):
-        start = PrimeList("z", (cz(2), cz(3)))
+        start = (cz(2), cz(3))
         out = prime_stream(Z, start, 10)
-        members = list(out.members)
+        members = list(out)
         assert len(members) == 12 and len(set(members)) == 12
         for c in members:
             assert Z.is_irreducible(c.rep)
@@ -235,9 +235,9 @@ def test_criterion_08_prime_stream():
                 assert not Z.divides(c.rep, x)
             assert Z.divides(members[k].rep, x)
         for ring in (F2, F3):
-            start = PrimeList(ring.name, (ring.canonical_class(ring.parse("x")),))
+            start = (ring.canonical_class(ring.parse("x")),)
             out = prime_stream(ring, start, 5)
-            members = list(out.members)
+            members = list(out)
             assert len(members) == 6 and len(set(members)) == 6
             for c in members:
                 assert ring.is_irreducible(c.rep)

@@ -232,7 +232,7 @@ def test_nested_agrees_with_valuation_capability():
         (F2, [F2.canonical_class(F2.parse("x^2+x"))]),
         (S5, [S5.canonical_class(Root5(6, 0))]),
     ):
-        assert not ring.caps.is_valuation
+        assert not ring.is_valuation
         assert C.check_nested(build_fragment(ring, seeds)).verdict == "fails"
 
 

@@ -157,6 +157,18 @@ def test_readme_lists_the_props_and_rings_in_table_order():
     props = re.search(r"Available props for `check`:\s*`([^`]*)`", readme).group(1)
     assert [p.strip() for p in props.split(",")] == list(cli.PROPS)
     assert re.findall(r"^\| `(\w+)`", readme, re.MULTILINE) == list(rings.RING_TAGS)
+    # the gcd, valuation, UFD and units columns state each class's attributes
+    yes = {True: "yes", False: "no"}
+    for line in re.findall(r"^\| `\w+`.*", readme, re.MULTILINE):
+        tag, *_, gcd, valuation, ufd, units = (c.strip(" `") for c in line.split("|")[1:-1])
+        cls = rings.RINGS[tag]
+        assert [gcd, valuation, ufd] == [yes[cls.has_gcd], yes[cls.is_valuation], yes[cls.is_ufd]]
+        assert (units == "infinite") == (not cls.finite_units)
+        if tag == "fp":
+            assert units == "p−1"
+            assert all(len(rings.make_ring(tag, p).units()) == p - 1 for p in (2, 3, 17))
+        elif cls.finite_units:
+            assert units == str(len(rings.make_ring(tag).units()))
 
 
 def test_check_sep_nbhd_needs_three_irreducibles(capsys):

@@ -268,6 +268,10 @@ def test_fragment_json_detects_tampering():
     doc["points"] = doc["points"][:-1]
     with pytest.raises(DivtopError):
         fragment_from_json(json.dumps(doc))
+    doc = json.loads(fragment_to_json(zfrag(12)))
+    doc["edges"].append(["2", "3"])
+    with pytest.raises(DivtopError, match="edge list"):
+        fragment_from_json(json.dumps(doc))
     with pytest.raises(DivtopError):
         fragment_from_json(json.dumps({"schema": "divtop/0"}))
 
@@ -289,11 +293,13 @@ def _doc(**changes):
         _doc(seeds=[12]),
         _doc(seeds="12"),
         _doc(points=None),
+        _doc(edges=None),
+        _doc(edges=[["2", "3"]]),
         _doc()[:-1],
     ],
     ids=[
         "list", "no-ring", "unknown-tag", "string-p", "ring-list", "integer-seed",
-        "seed-string", "no-points", "not-json",
+        "seed-string", "no-points", "no-edges", "forged-edge", "not-json",
     ],
 )
 def test_malformed_fragment_document_raises_divtop_error(text):

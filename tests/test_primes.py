@@ -2,8 +2,8 @@
 
 import pytest
 
-from divtop.errors import AssociatedInputs, CapabilityMissing, NotIrreducible
-from divtop.primes import PrimeList, euclid_step, prime_stream
+from divtop.errors import AssociatedInputs, CapabilityMissing, NotIrreducible, RingMismatch
+from divtop.primes import euclid_step, prime_stream
 from divtop.rings import Gauss, PPow, make_ring
 
 Z = make_ring("z")
@@ -15,11 +15,11 @@ V2 = make_ring("valp", 2)
 
 
 def zlist(*ns):
-    return PrimeList("z", tuple(Z.canonical_class(n) for n in ns))
+    return tuple(Z.canonical_class(n) for n in ns)
 
 
 def fplist(ring, *texts):
-    return PrimeList(ring.name, tuple(ring.canonical_class(ring.parse(t)) for t in texts))
+    return tuple(ring.canonical_class(ring.parse(t)) for t in texts)
 
 
 def recompute_candidate(ring, members):
@@ -49,18 +49,18 @@ def test_euclid_step_skips_unit_candidates():
 
 
 def test_prime_stream_int_examples():
-    assert prime_stream(Z, zlist(2, 3), 1).texts() == ["2", "3", "5"]
-    assert prime_stream(Z, zlist(2, 3, 5), 1).texts()[-1] == "17"
+    assert [c.text for c in prime_stream(Z, zlist(2, 3), 1)] == ["2", "3", "5"]
+    assert prime_stream(Z, zlist(2, 3, 5), 1)[-1].text == "17"
 
 
 def test_prime_stream_int_10_steps():
     out = prime_stream(Z, zlist(2, 3), 10)
     assert len(out) == 12
-    assert len(set(out.members)) == 12  # pairwise non-associated
-    for c in out.members:
+    assert len(set(out)) == 12  # pairwise non-associated
+    for c in out:
         assert Z.is_irreducible(c.rep)
     # every step's candidate avoided all earlier members
-    members = list(out.members)
+    members = list(out)
     for k in range(2, 12):
         prefix = members[:k]
         x = recompute_candidate(Z, prefix)
@@ -73,10 +73,10 @@ def test_prime_stream_int_10_steps():
 def test_prime_stream_fp_5_steps(ring):
     out = prime_stream(ring, fplist(ring, "x"), 5)
     assert len(out) == 6
-    assert len(set(out.members)) == 6
-    for c in out.members:
+    assert len(set(out)) == 6
+    for c in out:
         assert ring.is_irreducible(c.rep)
-    members = list(out.members)
+    members = list(out)
     for k in range(1, 6):
         x = recompute_candidate(ring, members[:k])
         for c in members[:k]:
@@ -85,21 +85,21 @@ def test_prime_stream_fp_5_steps(ring):
 
 
 def test_prime_stream_gauss_permitted():
-    start = PrimeList("gauss", (G.canonical_class(Gauss(1, 1)),))
+    start = (G.canonical_class(Gauss(1, 1)),)
     out = prime_stream(G, start, 3)
-    assert len(out) == 4 and len(set(out.members)) == 4
-    for c in out.members:
+    assert len(out) == 4 and len(set(out)) == 4
+    for c in out:
         assert G.is_irreducible(c.rep)
 
 
 def test_valp_refused():
-    start = PrimeList("valp(2)", (V2.canonical_class(PPow(2, 1)),))
+    start = (V2.canonical_class(PPow(2, 1)),)
     with pytest.raises(CapabilityMissing):
         euclid_step(V2, start)
 
 
 def test_zs5_refused():
-    start = PrimeList("zs5", (S5.canonical_class(S5.parse("2")),))
+    start = (S5.canonical_class(S5.parse("2")),)
     with pytest.raises(CapabilityMissing):
         euclid_step(S5, start)
 
@@ -108,7 +108,15 @@ def test_member_validation():
     with pytest.raises(NotIrreducible):
         euclid_step(Z, zlist(4))
     with pytest.raises(AssociatedInputs):
-        euclid_step(Z, PrimeList("z", (Z.canonical_class(2), Z.canonical_class(-2))))
+        euclid_step(Z, zlist(2, -2))
+
+
+def test_members_of_another_ring_are_refused():
+    gauss = G.canonical_class(Gauss(1, 1))
+    with pytest.raises(RingMismatch):
+        prime_stream(Z, (gauss,), 1)
+    with pytest.raises(RingMismatch):
+        euclid_step(Z, (Z.canonical_class(3), gauss))
 
 
 def test_stream_is_deterministic():

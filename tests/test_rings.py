@@ -555,21 +555,24 @@ def test_make_ring_validation():
         make_ring("fp", 4)
     with pytest.raises(ValueError):
         make_ring("valp", 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError, match=r"^unknown ring tag 'nope'$"):
         make_ring("nope")
+    with pytest.raises(ParameterError) as info:
+        make_ring("q" * 10**6)  # named by its length, not echoed
+    assert len(str(info.value).encode()) < 200
+    with pytest.raises(ParameterError):
+        V2.element(-1)
 
 
 def test_capability_table():
-    assert Z.caps.has_gcd and Z.caps.is_ufd and Z.caps.is_atomic
-    assert not Z.caps.is_valuation and Z.caps.unit_count.n == 2
-    assert G.caps.unit_count.n == 4
-    assert F3.caps.unit_count.n == 2
-    assert make_ring("fp", 5).caps.unit_count.n == 4
-    assert not S5.caps.has_gcd and not S5.caps.is_ufd and S5.caps.is_atomic
-    assert S5.caps.unit_count.n == 2
-    assert V2.caps.is_valuation and V2.caps.has_gcd and V2.caps.is_ufd
-    assert not V2.caps.unit_count.is_finite
+    assert Z.has_gcd and Z.is_ufd
+    assert not Z.is_valuation and len(Z.units()) == 2
+    assert len(G.units()) == 4
+    assert len(F3.units()) == 2
+    assert len(make_ring("fp", 5).units()) == 4
+    assert not S5.has_gcd and not S5.is_ufd
+    assert len(S5.units()) == 2
+    assert V2.is_valuation and V2.has_gcd and V2.is_ufd
+    assert not V2.finite_units
     for ring in (Z, G, F2, F3, S5):
-        assert not ring.caps.is_valuation
-    for ring in (Z, G, F2, F3, S5, V2):
-        assert ring.caps.countable_classes
+        assert not ring.is_valuation and ring.finite_units
