@@ -10,8 +10,8 @@ returns a CheckReport whose contents are deterministic for fixed inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import (
     AssociatedInputs,
@@ -19,7 +19,6 @@ from .errors import (
     FragmentTooLargeForEnumeration,
     NotIrreducible,
     ParameterError,
-    RingMismatch,
 )
 from .rings import ClassId, Ring
 from .topology import DENSE_OPEN_CAP, ENUM_CAP, POINT_CAP, Fragment, PointSet, build_fragment
@@ -29,12 +28,11 @@ FAILS = "fails"
 WITNESS = "witness-produced"
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     check: str
     verdict: str
     witnesses: tuple = ()
-    details: Mapping = field(default_factory=dict)
+    details: Mapping = MappingProxyType({})  # immutable, so safe to share
 
     def witness_texts(self) -> list:
         return [w.text for w in self.witnesses]
@@ -183,8 +181,7 @@ def check_nested(fragment: Fragment) -> CheckReport:
 def basis_intersection(ring: Ring, a: ClassId, b: ClassId) -> CheckReport:
     """Intersection of two basic opens: empty, a basic open, or a non-basic
     witness set on rings without gcd."""
-    if a.ring != ring.name or b.ring != ring.name:
-        raise RingMismatch(f"classes {a.ring}/{b.ring} do not belong to {ring.name}")
+    ring.claim(a, b)
     if not ring.has_gcd:
         return fragment_intersection(build_fragment(ring, [a]), a, b)
     inter = ring.divisor_classes(a.rep) & ring.divisor_classes(b.rep)
@@ -223,6 +220,7 @@ def fragment_intersection(fragment: Fragment, a: ClassId, b: ClassId) -> CheckRe
 def density_check(ring: Ring, samples: Sequence[ClassId]) -> CheckReport:
     """Every sampled basic open contains an irreducible class."""
     samples = list(samples)
+    ring.claim(*samples)
     finds = []
     missing = []
     for a in samples:
@@ -305,6 +303,7 @@ def no_disjoint_nbhd_witness(
 ) -> CheckReport:
     """{[ab]} and {[ac]} are separated yet share every open neighborhood pair:
     both minimal opens contain the divisors of a."""
+    ring.claim(a, b, c)
     for x in (a, b, c):
         if not ring.is_irreducible(x.rep):
             raise NotIrreducible(f"{x.text} is not irreducible in {ring.name}")
@@ -357,6 +356,7 @@ def non_compact_witness(
 ) -> CheckReport:
     """x^2 never divides x back, while closures of finitely many singletons
     still meet in the product class."""
+    ring.claim(x, *(family or ()))
     x2 = ring.mul_class(x, x)
     escapes = not ring.divides(x2.rep, x.rep)
     details = {

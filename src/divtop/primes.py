@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import (
-    AssociatedInputs, CapabilityMissing, NotIrreducible, ParameterError, RingMismatch, SizeGuard
+    AssociatedInputs, CapabilityMissing, NotIrreducible, ParameterError, SizeGuard
 )
 from .rings import ClassId, Ring
 
@@ -32,9 +32,6 @@ def require_stream_capability(ring: Ring) -> None:
 
 
 def _validate_members(ring: Ring, members: Sequence[ClassId]) -> None:
-    for c in members:
-        if c.ring != ring.name:
-            raise RingMismatch(f"member {c} does not belong to {ring.name}")
     if len(set(members)) != len(members):
         raise AssociatedInputs("prime list members must be pairwise non-associated")
     for c in members:
@@ -44,6 +41,7 @@ def _validate_members(ring: Ring, members: Sequence[ClassId]) -> None:
 
 def euclid_step(ring: Ring, members: Sequence[ClassId]) -> ClassId:
     """One growth step: returns a prime class not associated to any member."""
+    ring.claim(*members)
     require_stream_capability(ring)
     if not members:
         raise ParameterError("prime list must be nonempty")

@@ -14,16 +14,17 @@ Element representations:
 Association classes are keyed by a canonical associate per ring: positive for
 ``z``, first quadrant (re > 0, im >= 0) for ``gauss``, monic for ``fp``,
 x > 0 or (x == 0, y > 0) for ``zs5``, and p^k itself for ``valp``.  Each rule
-is computable by trying every unit, and picks exactly one associate.
+picks exactly one associate: z and zs5 flip the sign, fp scales by the
+inverse leading coefficient, and gauss rotates by the element's quadrant,
+so no adapter searches its units.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import (
     CapabilityMissing,
@@ -43,8 +44,7 @@ from .intarith import factor, is_prime, sqrt_minus_one
 # element value types
 
 
-@dataclass(frozen=True)
-class Gauss:
+class Gauss(NamedTuple):
     re: int
     im: int
 
@@ -56,8 +56,7 @@ class Gauss:
         return self.re * self.re + self.im * self.im
 
 
-@dataclass(frozen=True)
-class Root5:
+class Root5(NamedTuple):
     """x + y*sqrt(-5)."""
 
     x: int
@@ -71,8 +70,7 @@ class Root5:
         return self.x * self.x + 5 * self.y * self.y
 
 
-@dataclass(frozen=True)
-class Poly:
+class Poly(NamedTuple):
     """Coefficients low degree first, trimmed; () is the zero polynomial."""
 
     p: int
@@ -83,18 +81,18 @@ class Poly:
         return len(self.coeffs) - 1
 
 
-@dataclass(frozen=True)
-class PPow:
+class PPow(NamedTuple):
     p: int
     k: int
 
 
-@dataclass(frozen=True)
-class ClassId:
+class ClassId(NamedTuple):
     """Association class: ring name plus canonical representative.
 
     ``text`` is the representative's serialization; it is derived from ``rep``
     and kept here so classes sort and print without an adapter at hand.
+    Reps are tuples, so reps of two rings may compare equal; ``ring`` keeps
+    their classes apart.
     """
 
     ring: str
@@ -367,9 +365,14 @@ class Ring:
         quot = self.divide(self.mul(a, b), self._operand_gcd(a, b))
         return self._class(self.canonical(quot))
 
+    def claim(self, *classes: ClassId) -> None:
+        """Refuse a class of another ring."""
+        for c in classes:
+            if c.ring != self.name:
+                raise RingMismatch(f"a class of {c.ring} does not belong to {self.name}")
+
     def mul_class(self, ca: ClassId, cb: ClassId) -> ClassId:
-        if ca.ring != self.name or cb.ring != self.name:
-            raise RingMismatch(f"classes {ca.ring}/{cb.ring} do not belong to {self.name}")
+        self.claim(ca, cb)
         return self._class(self.canonical(self.mul(ca.rep, cb.rep)))
 
     def product(self, elems: Iterable):
@@ -476,10 +479,16 @@ class GaussianRing(Ring):
         return Gauss(a.re + b.re, a.im + b.im)
 
     def canonical(self, e):
-        for u in self.units():
-            c = self.mul(u, e)
-            if c.re > 0 and c.im >= 0:
-                return c
+        # the one unit multiple in the first quadrant: rotate by quadrant
+        re_, im = e
+        if re_ > 0 and im >= 0:
+            return e
+        if im > 0 and re_ <= 0:
+            return Gauss(im, -re_)
+        if re_ < 0 and im <= 0:
+            return Gauss(-re_, -im)
+        if im < 0:
+            return Gauss(-im, re_)
         raise ZeroElement("zero has no canonical associate")
 
     def divide(self, numer, denom):

@@ -18,7 +18,6 @@ from .errors import (
     FragmentTooLarge,
     FragmentTooLargeForEnumeration,
     PointNotInFragment,
-    RingMismatch,
 )
 from .rings import ClassId, Ring
 
@@ -238,9 +237,7 @@ def build_fragment(ring: Ring, seeds: Iterable[ClassId]) -> Fragment:
     seeds = tuple(seeds)
     if not seeds:
         raise EmptyFamily("at least one seed class is needed")
-    for s in seeds:
-        if s.ring != ring.name:
-            raise RingMismatch(f"seed {s} does not belong to {ring.name}")
+    ring.claim(*seeds)
     # one seed's divisor classes are the whole fragment, so the ring can
     # refuse an over-cap seed before it lists them
     cap = POINT_CAP if len(seeds) == 1 else None

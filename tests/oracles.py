@@ -7,9 +7,10 @@ and nestedness loops, the per-point isolated check and the fp trial-division
 factorizer are the library's earlier implementations, kept as references for
 the irreducible-step build, the O(n) checks, the division certificates of
 ``isolated_points`` and the finite-field factorizer, as is sympy's
-``gf_factor``, which the Berlekamp factorizer replaced.  The gcd-intersection
-partner search and its frozenset intersection are the earlier versions of
-the fragment-column search.
+``gf_factor``, which the Berlekamp factorizer replaced, and the unit search
+that the gauss quadrant rotation replaced.  The gcd-intersection partner
+search and its frozenset intersection are the earlier versions of the
+fragment-column search.
 """
 
 from itertools import combinations
@@ -20,6 +21,7 @@ from sympy.polys.galoistools import gf_factor
 
 from divtop import checks as C
 from divtop.checks import FAILS, HOLDS, WITNESS, CheckReport
+from divtop.errors import ZeroElement
 from divtop.rings import Gauss, Poly, Root5
 
 
@@ -60,6 +62,16 @@ def zs5_divisor_classes(ring, a) -> set:
             if ring.divide(a, g) is not None:
                 out.add(ring.canonical_class(g))
     return out
+
+
+def gauss_canonical_by_units(ring, e):
+    """The first-quadrant associate (re > 0, im >= 0) found by trying every
+    unit: the library's earlier canonical associate for gauss."""
+    for u in ring.units():
+        c = ring.mul(u, e)
+        if c.re > 0 and c.im >= 0:
+            return c
+    raise ZeroElement("zero has no canonical associate")
 
 
 def monics(p: int, d: int):

@@ -1,11 +1,14 @@
 """Checker verdicts and witness contents."""
 
+import inspect
+import json
 import random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import divtop
 from divtop import checks as C
 from divtop.errors import (
     AssociatedInputs,
@@ -13,6 +16,7 @@ from divtop.errors import (
     FragmentTooLargeForEnumeration,
     NotIrreducible,
     ParameterError,
+    RingMismatch,
 )
 from divtop.formats import report_to_json
 from divtop.rings import ClassId, Gauss, PPow, Root5, make_ring
@@ -520,3 +524,64 @@ def test_reports_are_deterministic():
         ]
         runs.append([report_to_json(r) for r in batch])
     assert runs[0] == runs[1]
+
+
+# ---------------------------------------------------------------------------
+# report values and ring membership
+
+
+def test_reports_without_details_share_no_mutable_mapping():
+    a = C.CheckReport("t0", C.HOLDS)
+    b = C.CheckReport("nested", C.HOLDS)
+    for r in (a, b):
+        with pytest.raises(TypeError):
+            r.details["pairs_checked"] = 1
+    assert a.details == b.details == {}
+    assert json.loads(report_to_json(a))["details"] == {}
+
+
+def _ring_entry_points():
+    """Public callables whose first parameter is ``ring`` and which take
+    classes, with the indices of their class-taking parameters."""
+    for name in divtop.__all__:
+        fn = getattr(divtop, name)
+        if not inspect.isfunction(fn):
+            continue
+        params = list(inspect.signature(fn).parameters.values())
+        takes = [k for k, p in enumerate(params[1:]) if "ClassId" in str(p.annotation)]
+        if params[0].name == "ring" and takes:
+            yield name, (fn, [str(p.annotation) for p in params[1:]], takes)
+
+
+RING_ENTRY_POINTS = dict(_ring_entry_points())
+
+# one irreducible class per ring; two fp and two valp rings, so a class of the
+# same kind of ring with another p is foreign too
+OWN_CLASSES = [
+    (ring, ring.canonical_class(ring.parse(text)))
+    for ring, text in ((Z, "2"), (G, "1+1i"), (F3, "x"), (make_ring("fp", 5), "x"),
+                       (S5, "2"), (V2, "p"), (make_ring("valp", 3), "p"))
+]
+
+
+def test_ring_entry_points_are_found():
+    assert set(RING_ENTRY_POINTS) == {
+        "basis_intersection", "build_fragment", "density_check", "euclid_step",
+        "no_disjoint_nbhd_witness", "noetherian_chain", "non_compact_witness",
+        "non_regular_witness", "prime_stream", "t1_failure_witness", "ultraconnected_witness",
+    }
+
+
+@pytest.mark.parametrize("name", sorted(RING_ENTRY_POINTS))
+def test_a_class_of_another_ring_is_refused(name):
+    # every ring pair, with the stranger in each class-taking parameter in turn
+    fn, annotations, takes = RING_ENTRY_POINTS[name]
+    for ring, own in OWN_CLASSES:
+        for foreign in (c for _, c in OWN_CLASSES if c.ring != ring.name):
+            for at in takes:
+                args = []
+                for k, ann in enumerate(annotations):
+                    c = foreign if k == at else own
+                    args.append(c if ann == "ClassId" else [c] if "ClassId" in ann else 2)
+                with pytest.raises(RingMismatch):
+                    fn(ring, *args)

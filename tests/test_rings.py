@@ -19,12 +19,14 @@ from divtop.errors import (
     ZeroElement,
 )
 from divtop.rings import RING_TAGS, Gauss, PPow, Root5, make_ring
+from divtop.topology import build_fragment
 
 from oracles import (
     divisor_classes_oracle,
     fp_rabin_irreducible,
     fp_sympy_factor,
     fp_trial_factor,
+    gauss_canonical_by_units,
     int_divisors,
     int_is_prime,
 )
@@ -78,6 +80,41 @@ def test_canonical_gauss_quadrant():
     for a in associates:
         assert G.divides(a, e) and G.divides(e, a)
     assert G.canonical_class(e).rep == Gauss(1, 1)
+
+
+GAUSS_PARTS = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-(2**100), 2**100))
+
+
+@given(st.builds(Gauss, GAUSS_PARTS, GAUSS_PARTS).filter(lambda e: e.norm))
+@example(Gauss(7, 0))
+@example(Gauss(0, 7))
+@example(Gauss(-7, 0))
+@example(Gauss(0, -7))
+@example(Gauss(-(2**64) - 1, 2**70))
+@example(Gauss(2**64 + 1, -(2**64) - 1))
+def test_gauss_canonical_matches_unit_search(e):
+    c = G.canonical(e)
+    assert type(c) is Gauss
+    assert c == gauss_canonical_by_units(G, e)
+
+
+def test_gauss_canonical_rejects_zero():
+    with pytest.raises(ZeroElement):
+        G.canonical(Gauss(0, 0))
+
+
+def test_equal_reps_of_two_rings_stay_distinct_classes():
+    # the value types are tuples, so a gauss and a zs5 rep can compare equal;
+    # the classes still differ by ring, and a fragment refuses the stranger
+    g = G.canonical_class(Gauss(1, 1))
+    s = S5.canonical_class(Root5(1, 1))
+    assert g.rep == s.rep == (1, 1)
+    assert g != s and len({g, s}) == 2 and len({g: 1, s: 2}) == 2
+    assert s not in build_fragment(G, [g])
+    with pytest.raises(RingMismatch):
+        build_fragment(G, [g, s])
+    with pytest.raises(RingMismatch):
+        build_fragment(S5, [g])
 
 
 def test_canonical_poly_monic():
