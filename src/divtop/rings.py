@@ -139,40 +139,38 @@ def _echo_element(ring, e, *parts) -> str:
     return ring.fmt(e) if bits <= 64 else f"an element with a {bits}-bit part"
 
 
-def _parse_int(text: str) -> int:
-    m = re.fullmatch(r"\s*([+-]?\d+)\s*", _ascii_minus(text))
-    if not m:
-        bad = re.match(r"\s*[+-]?\d*", _ascii_minus(text)).end()
-        raise ElementSyntaxError(text, bad, "expected an integer")
-    return _int(m.group(1))
-
-
-def _terms(text: str, sym: str, powers: bool):
+def _terms(text: str, sym: Optional[str], powers: bool, single: bool = False):
     """Yield (position, coefficient, power) for each term of text.
 
     Terms are joined by '+' or '-' and the first may carry a sign too.  A
     term is digits, or optional digits then ``sym`` (power 1), then, with
-    ``powers``, an optional ``^digits``.  Spaces may stand only at the ends
-    and around signs.  Positions index ``text`` itself.
+    ``powers``, an optional ``^digits``; with ``sym`` None it is digits only.
+    A ``single`` text holds one term.  Spaces may stand only at the ends and
+    around signs.  Digits are ASCII.  Positions index ``text`` itself.
     """
     s = _ascii_minus(text)
     end = len(s.rstrip(" "))
     if not end:
         raise ElementSyntaxError(text, 0, "empty element text")
     tail = r"(?:\^(?P<exp>[0-9]*))?" if powers else ""
-    term = re.compile(rf" *(?P<sign>[+-]?) *(?P<digits>[0-9]*)(?P<sym>{re.escape(sym)}{tail})?")
+    body = rf"(?P<sym>{re.escape(sym)}{tail})?" if sym else ""
+    term = re.compile(rf" *(?P<sign>[+-]?) *(?P<digits>[0-9]*){body}")
     i = 0
     while i < end:
+        if i and single:
+            raise ElementSyntaxError(text, i, "expected the end of the element")
         m = term.match(s, i)
         pos = m.start("sign")
         if i and not m["sign"]:
             raise ElementSyntaxError(text, pos, "expected + or -")
-        if not (m["digits"] or m["sym"]):
-            raise ElementSyntaxError(text, m.end(), "expected digits or " + sym)
+        has_sym = m.groupdict().get("sym")
+        if not (m["digits"] or has_sym):
+            wanted = f"digits or {sym}" if sym else "digits"
+            raise ElementSyntaxError(text, m.end(), "expected " + wanted)
         exp = m.groupdict().get("exp")
         if exp == "":
             raise ElementSyntaxError(text, m.end(), "expected an exponent")
-        power = (_int(exp) if exp else 1) if m["sym"] else 0
+        power = (_int(exp) if exp else 1) if has_sym else 0
         yield pos, _int(m["sign"] + (m["digits"] or "1")), power
         i = m.end()
 
@@ -424,7 +422,8 @@ class IntegerRing(Ring):
         return str(e)
 
     def parse(self, text: str):
-        return _parse_int(text)
+        [(_, value, _)] = _terms(text, None, False, single=True)
+        return value
 
     def _guard(self, a, bound) -> None:
         if abs(a) > bound:
@@ -909,23 +908,18 @@ class PPowerRing(Ring):
         return "p" if e.k == 1 else f"p^{e.k}"
 
     def parse(self, text: str):
-        s = text.strip()
-        if not s:
-            raise ElementSyntaxError(text, 0, "empty element text")
-        if s == "p":
-            return PPow(self.p, 1)
-        m = re.fullmatch(r"p\^(\d+)", s)
-        if m:
-            k = _int(m.group(1))
-        elif s.isdecimal():
-            v, k = _int(s), 0
+        # one term: p or p^k, where no sign or digits come before p, or an
+        # integer that is a power of p
+        [(pos, v, k)] = _terms(text, "p", True, single=True)
+        if "p" in text:
+            if text[pos] != "p":
+                raise ElementSyntaxError(text, pos, "expected p or p^k")
+        else:
             while v > 1 and v % self.p == 0:
                 v //= self.p
                 k += 1
             if v != 1:
-                raise ElementSyntaxError(text, 0, f"not a power of {self.p}")
-        else:
-            raise ElementSyntaxError(text, 1 if s.startswith("p") else 0, "expected p^k")
+                raise ElementSyntaxError(text, pos, f"not a power of {self.p}")
         if k > self.K_MAX:
             raise SizeGuard(f"exponent {k} exceeds the valp bound {self.K_MAX}")
         return PPow(self.p, k)

@@ -258,28 +258,62 @@ def _divisibility(ring: Ring, points: tuple) -> tuple:
     In an atomic domain every proper divisor of v divides v/q for some
     irreducible q dividing v, and a cover is exactly a step v/q -> v.  The
     points are visited by ``sort_key``, whose first entry strictly shrinks
-    along proper division, so every irreducible point and every v/q comes
-    before v; a point no earlier irreducible divides is irreducible itself.
-    That costs n * (#irreducible points) exact divisions.
+    along proper division, so every irreducible point (atom) and every v/q
+    comes before v; a point no earlier atom divides is an atom itself.
+
+    The atoms are tried in order until the first, q_k, divides v; u = v/q_k
+    is the one quotient computed by division, and ``times[k][u] = v``
+    records that first step.  Every other atom q dividing u gives
+    v/q = (u/q)*q_k, an earlier point whose first atom is q_k too (it divides
+    v, and q_k divides it), so it is read from ``times[k]``.  In a UFD an
+    atom is prime, so q | v means q | u or q ~ q_k and nothing is left to
+    find: a composite point costs one successful division plus the failed
+    trials before it.  Without unique factorization an atom after q_k can
+    divide v and neither factor (2 divides 6 = (1+s)(1-s) in Z[sqrt(-5)]),
+    so the atoms not found yet are still tried by division.
     """
+    n = len(points)
     index = {c.rep: i for i, c in enumerate(points)}
-    cols = [1 << i for i in range(len(points))]
+    cols = [1 << i for i in range(n)]
     covers = []
     atoms = []
-    for v in sorted(range(len(points)), key=lambda i: ring.sort_key(points[i].rep)):
+    # times[k] maps u to the point whose first step is u -> u * atoms[k];
+    # n stands for the unit class, so an atom's own first step is n -> atom
+    times = []
+    # steps[v] lists (k, v / atoms[k]) for every atom dividing v
+    steps = [None] * n
+    for v in sorted(range(n), key=lambda i: ring.sort_key(points[i].rep)):
         v_rep = points[v].rep
-        before = len(covers)
-        for q in atoms:
+        for k, q in enumerate(atoms):
             w = ring.divide(v_rep, q)
             if w is not None:
-                u = index[ring.canonical(w)]
-                covers.append((u, v))
-                cols[v] |= cols[u]
-        if len(covers) == before:
+                break
+        else:
+            times.append({n: v})
+            steps[v] = [(len(atoms), n)]
             atoms.append(v_rep)
+            continue
+        u = index[ring.canonical(w)]
+        first = times[k]
+        first[u] = v
+        step = [(k, u)]
+        for j, x in steps[u]:
+            if j != k:
+                step.append((j, first[x]))
+        if not ring.is_ufd:
+            found = {j for j, _ in step}
+            for j in range(k + 1, len(atoms)):
+                if j not in found and (w := ring.divide(v_rep, atoms[j])) is not None:
+                    step.append((j, index[ring.canonical(w)]))
+        steps[v] = step
+        col = cols[v]
+        for _, x in step:
+            covers.append((x, v))
+            col |= cols[x]
+        cols[v] = col
     # the covers into v are recorded before every cover out of v, so walking
     # the list backwards completes rows[v] before it is merged into rows[u]
-    rows = [1 << i for i in range(len(points))]
+    rows = [1 << i for i in range(n)]
     for u, v in reversed(covers):
         rows[u] |= rows[v]
     return tuple(cols), tuple(rows), tuple(sorted(covers))

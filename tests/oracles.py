@@ -10,7 +10,9 @@ the irreducible-step build, the O(n) checks, the division certificates of
 ``gf_factor``, which the Berlekamp factorizer replaced, and the unit search
 that the gauss quadrant rotation replaced.  The gcd-intersection partner
 search and its frozenset intersection are the earlier versions of the
-fragment-column search.
+fragment-column search, and the irreducible-step oracle, which divides each
+point by every earlier irreducible point, is the earlier build of the
+quotient-table build.
 """
 
 from itertools import combinations
@@ -206,6 +208,31 @@ def divisibility_oracle(ring, points) -> tuple:
                 cols[j] |= 1 << i
                 rows[i] |= 1 << j
     return tuple(cols), tuple(rows)
+
+
+def irreducible_step_oracle(ring, points) -> tuple:
+    """Columns, rows and sorted covering pairs by dividing every point by
+    every irreducible point visited before it: n * (#irreducible points)
+    exact divisions, the build's earlier cost."""
+    index = {c.rep: i for i, c in enumerate(points)}
+    cols = [1 << i for i in range(len(points))]
+    covers = []
+    atoms = []
+    for v in sorted(range(len(points)), key=lambda i: ring.sort_key(points[i].rep)):
+        v_rep = points[v].rep
+        before = len(covers)
+        for q in atoms:
+            w = ring.divide(v_rep, q)
+            if w is not None:
+                u = index[ring.canonical(w)]
+                covers.append((u, v))
+                cols[v] |= cols[u]
+        if len(covers) == before:
+            atoms.append(v_rep)
+    rows = [1 << i for i in range(len(points))]
+    for u, v in reversed(covers):
+        rows[u] |= rows[v]
+    return tuple(cols), tuple(rows), tuple(sorted(covers))
 
 
 def covering_pairs_oracle(cols, rows) -> set:

@@ -100,6 +100,69 @@ def test_parse_valp():
         V2.parse("²")  # a digit to str.isdigit, but not to int()
 
 
+@pytest.mark.parametrize(
+    "ring, text",
+    [
+        (Z, "१२"),  # Devanagari digits
+        (Z, "１２"),  # fullwidth digits
+        (Z, "\t12\n"),
+        (Z, "\xa012"),  # no-break space
+        (V2, "p^３"),
+        (V2, "８"),
+        (V2, "\tp^3\n"),
+    ],
+)
+def test_non_ascii_digits_and_other_spaces_are_refused(ring, text):
+    # the grammar has ASCII digits and spaces only, though int() and \s take more
+    with pytest.raises(ElementSyntaxError) as exc:
+        ring.parse(text)
+    assert 0 <= exc.value.position < len(text)
+
+
+# near misses of every grammar: tab, no-break space, and a fullwidth and an
+# Arabic-Indic digit
+NEAR = "\t\xa0１٣"
+
+
+@given(st.text("0123456789+-−^ p" + NEAR, max_size=8))
+@example("- 12")
+@example("12 3")
+@settings(max_examples=300)
+def test_z_grammar(text):
+    grammar = re.compile(r" *(?:[+\-−] *)?[0-9]+ *")
+    try:
+        value = Z.parse(text)
+    except ElementSyntaxError as exc:
+        assert 0 <= exc.position <= len(text)
+        assert not grammar.fullmatch(text)
+        return
+    assert grammar.fullmatch(text), text
+    assert value == int(text.replace(" ", "").replace("−", "-"))
+
+
+@given(st.text("0123456789+-−^ pq" + NEAR, max_size=10))
+@example("+p")
+@example("2p^0")
+@example("p^0")
+@example("p^99999999")
+@example("+8")
+@settings(max_examples=300)
+def test_valp_grammar(text):
+    grammar = re.compile(r" *(?:p(?:\^[0-9]+)?|(?:[+\-−] *)?[0-9]+) *")
+    try:
+        e = V2.parse(text)
+    except ElementSyntaxError as exc:
+        assert 0 <= exc.position <= len(text)
+        # a grammatical integer term fails only when it is no power of 2
+        assert not grammar.fullmatch(text) or exc.reason == "not a power of 2"
+        return
+    except SizeGuard:
+        assert grammar.fullmatch(text) and "p" in text
+        return
+    assert grammar.fullmatch(text), text
+    assert V2.parse(V2.fmt(e)) == e
+
+
 def _grammar(term: str):
     # the documented rule, written apart from the tokenizer: a sign between
     # terms, spaces only at the ends and around signs
@@ -121,7 +184,7 @@ def _check_grammar(ring, grammar, text):
     assert ring.parse(ring.fmt(e)) == e
 
 
-@given(st.text("0123456789+-−^ ij", max_size=10))
+@given(st.text("0123456789+-−^ ij" + NEAR, max_size=10))
 @example("1i2")
 @example("2 3")
 @example("3 - 2i")
@@ -130,7 +193,7 @@ def test_gauss_grammar(text):
     _check_grammar(G, _grammar("[0-9]+|[0-9]*i"), text)
 
 
-@given(st.text("0123456789+-−^ st", max_size=10))
+@given(st.text("0123456789+-−^ st" + NEAR, max_size=10))
 @example("1s2")
 @example("-s")
 @settings(max_examples=300)
@@ -138,7 +201,7 @@ def test_zs5_grammar(text):
     _check_grammar(S5, _grammar("[0-9]+|[0-9]*s"), text)
 
 
-@given(st.text("0123456789+-−^ xy", max_size=10))
+@given(st.text("0123456789+-−^ xy" + NEAR, max_size=10))
 @example("x2")
 @example("xx")
 @example("x^ 2")

@@ -14,12 +14,13 @@ from divtop.errors import (
     RingMismatch,
 )
 from divtop.rings import Gauss, PPow, Root5, make_ring
-from divtop.topology import build_fragment
+from divtop.topology import _divisibility, build_fragment
 
 from oracles import (
     covering_pairs_oracle,
     divisibility_oracle,
     down_sets_oracle,
+    irreducible_step_oracle,
     isolated_oracle,
 )
 from strategies import RING_SEEDS
@@ -100,6 +101,40 @@ def test_build_matches_pairwise_oracle(ring_seeds):
     assert f._rows == rows
     assert set(f.covering_pairs()) == covering_pairs_oracle(cols, rows)
     assert f.covering_pairs() == sorted(f.covering_pairs())
+
+
+@given(RING_SEEDS)
+@example((S5, [S5.canonical_class(Root5(6, 0)), S5.canonical_class(Root5(2, 2))]))
+@example((S5, [S5.canonical_class(Root5(7560, 0))]))
+@settings(max_examples=150, deadline=None)
+def test_build_matches_irreducible_step_oracle(ring_seeds):
+    # the quotient-table build against the build it replaced, which divides
+    # every point by every earlier irreducible point: the same columns, rows
+    # and sorted covers, bit for bit
+    ring, seeds = ring_seeds
+    f = build_fragment(ring, seeds)
+    assert (f._cols, f._rows, f._covers) == irreducible_step_oracle(ring, f.points)
+
+
+@pytest.mark.parametrize("ring, seed", [(Z, 720720), (G, Gauss(720720, 0))])
+def test_build_divides_once_per_composite_point(monkeypatch, ring, seed):
+    # in a UFD the build divides a composite point only until the first atom
+    # goes; the earlier build made 1399 and 13714 divisions here
+    points = build_fragment(ring, [ring.canonical_class(seed)]).points
+    calls = []
+    divide = ring.divide
+    monkeypatch.setattr(ring, "divide", lambda numer, denom: calls.append(1) or divide(numer, denom))
+    _divisibility(ring, points)
+    assert len(calls) < 2 * len(points)
+
+
+def test_build_finds_every_cover_of_zs5_6():
+    # dividing 6 by 2 gives 3 -> 6 and the table gives 2 -> 6; 1+s and 1-s
+    # divide neither 2 nor 3, so their covers come from the division trials
+    f = build_fragment(S5, [S5.canonical_class(Root5(6, 0))])
+    six = f.index_of(S5.canonical_class(Root5(6, 0)))
+    into = {f.points[i].text for i, j in f.covering_pairs() if j == six}
+    assert into == {"2", "3", "1+1s", "1-1s"}
 
 
 @pytest.mark.parametrize(
