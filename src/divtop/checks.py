@@ -390,9 +390,14 @@ def noetherian_chain(ring: Ring, a: ClassId, n: int) -> CheckReport:
     # computing them
     if n > POINT_CAP:
         raise ParameterError(f"chain length must be <= {POINT_CAP}")
+    # the build of a^n lists the divisors of every a^k; listing them at
+    # k = 2, 4, 8, ... with 2k <= n refuses a power past a guard before
+    # more than k further powers are multiplied out
     powers = [a]
-    for _ in range(n - 1):
+    for k in range(2, n + 1):
         powers.append(ring.mul_class(powers[-1], a))
+        if k & (k - 1) == 0 and 2 * k <= n:
+            ring.divisor_classes(powers[-1].rep, POINT_CAP)
     fragment = build_fragment(ring, [powers[-1]])
     sizes = [len(fragment.basic_open(p)) for p in powers]
     strict = all(s < t for s, t in zip(sizes, sizes[1:]))
@@ -419,13 +424,8 @@ def maximal_basic_open(fragment: Fragment, subfamily: Sequence[ClassId]) -> Chec
     if not subfamily:
         raise EmptyFamily("subfamily of basic opens is empty")
     opens = [(p, fragment.basic_open(p)) for p in subfamily]
-    maximal = []
-    for p, o in opens:
-        if any(o.bits != q.bits and o <= q for _, q in opens):
-            continue
-        maximal.append(p)
-    order = {c: i for i, c in enumerate(fragment.points)}
-    maximal = sorted(set(maximal), key=lambda c: order[c])
+    maximal = {p for p, o in opens if not any(o.bits != q.bits and o <= q for _, q in opens)}
+    maximal = sorted(maximal, key=fragment.index_of)
     return CheckReport(
         "maximal",
         WITNESS,

@@ -15,7 +15,7 @@ from typing import List, Optional
 
 from . import checks as C
 from .checks import FAILS, HOLDS, WITNESS, CheckReport
-from .errors import DivtopError
+from .errors import DivtopError, brief
 from .formats import (
     fragment_to_dot,
     fragment_to_json,
@@ -110,8 +110,7 @@ def expected_verdict(prop: str, ring: Ring) -> str:
     return verdict(ring) if callable(verdict) else verdict
 
 
-def cmd_fragment(args) -> int:
-    ring = make_ring(args.ring, args.p)
+def cmd_fragment(ring: Ring, args) -> int:
     fragment = build_fragment(ring, _seed_classes(ring, args.seeds))
     if args.out == "dot":
         sys.stdout.write(fragment_to_dot(fragment))
@@ -125,15 +124,15 @@ def cmd_fragment(args) -> int:
     return 0
 
 
-def cmd_check(args) -> int:
-    ring = make_ring(args.ring, args.p)
+def cmd_check(ring: Ring, args) -> int:
     classes = _seed_classes(ring, args.seeds)
     props = [p.strip() for p in args.props.split(",") if p.strip()]
     if not props:
         raise UsageError("no prop given")
     for p in props:
         if p not in PROPS:
-            raise UsageError(f"unknown prop {p!r}; choose from {', '.join(PROPS)}")
+            shown = brief(p) or f"of {len(p)} characters"
+            raise UsageError(f"unknown prop {shown}; choose from {', '.join(PROPS)}")
     # built on first use, then shared by every prop
     fragment = cache(lambda: build_fragment(ring, classes))
     status = 0
@@ -149,8 +148,7 @@ def cmd_check(args) -> int:
     return status
 
 
-def cmd_primes(args) -> int:
-    ring = make_ring(args.ring, args.p)
+def cmd_primes(ring: Ring, args) -> int:
     require_stream_capability(ring)
     start = _seed_classes(ring, args.start or PRIME_START[ring.tag])
     print(primes_to_json(ring, prime_stream(ring, start, args.count)))
@@ -201,7 +199,7 @@ _parser = cache(build_parser)
 def main(argv: Optional[List[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(make_ring(args.ring, args.p), args)
     except DivtopError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

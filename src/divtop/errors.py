@@ -1,6 +1,13 @@
 """Exception types shared across the package."""
 
 
+def brief(text: str) -> str | None:
+    """repr(text) while it takes at most 64 bytes, else None: an error
+    message names a longer outside text by its length instead."""
+    shown = repr(text[:65])
+    return shown if len(shown.encode()) <= 64 else None
+
+
 class DivtopError(Exception):
     """Base class for every error this package raises on purpose."""
 
@@ -72,7 +79,8 @@ class ElementSyntaxError(DivtopError):
     """Element text does not match the ring's grammar."""
 
     def __init__(self, text: str, position: int, reason: str):
-        super().__init__(f"{reason} at position {position} in {text!r}")
+        where = brief(text) or f"a text of {len(text)} characters"
+        super().__init__(f"{reason} at position {position} in {where}")
         self.text = text
         self.position = position
         self.reason = reason

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 
 from .checks import CheckReport
-from .errors import DivtopError
+from .errors import DivtopError, brief
 from .rings import Ring, make_ring
 from .topology import Fragment, build_fragment
 
@@ -64,7 +64,7 @@ def _texts(doc: dict, key: str) -> list:
 def fragment_from_json(text: str) -> Fragment:
     try:
         doc = json.loads(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise DivtopError(f"not a JSON document: {exc}") from None
     if not isinstance(doc, dict):
         raise DivtopError("a fragment document is a JSON object")
@@ -72,7 +72,7 @@ def fragment_from_json(text: str) -> Fragment:
     if schema != SCHEMA:
         if not isinstance(schema, str):
             raise DivtopError(f"unsupported schema of type {type(schema).__name__}")
-        shown = repr(schema) if len(schema) <= 64 else f"of {len(schema)} characters"
+        shown = brief(schema) or f"of {len(schema)} characters"
         raise DivtopError(f"unsupported schema {shown}")
     ring = ring_from_descriptor(doc.get("ring"))
     seed_texts, point_texts = _texts(doc, "seeds"), _texts(doc, "points")

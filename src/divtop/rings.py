@@ -37,6 +37,7 @@ from .errors import (
     UnitElement,
     ZeroDivisor,
     ZeroElement,
+    brief,
 )
 from .intarith import factor, is_prime, sqrt_minus_one
 
@@ -132,11 +133,10 @@ def _echo(n: int) -> str:
     return str(n) if n.bit_length() <= 64 else f"an integer of {n.bit_length()} bits"
 
 
-def _echo_element(ring, e, *parts) -> str:
-    """ring.fmt(e) for an error message while its integer parts fit in 64
-    bits, else only the size of the largest part."""
-    bits = max(abs(v) for v in parts).bit_length()
-    return ring.fmt(e) if bits <= 64 else f"an element with a {bits}-bit part"
+def _bound(n: int) -> str:
+    """A guard bound for an error message: its digits while they fit in 64
+    bits, else 10^k, the form every larger bound here takes."""
+    return str(n) if n.bit_length() <= 64 else f"10^{len(str(n)) - 1}"
 
 
 def _terms(text: str, sym: Optional[str], powers: bool, single: bool = False):
@@ -201,7 +201,6 @@ class Ring:
     """
 
     tag: str = ""
-    p: Optional[int] = None
     P_MAX: Optional[int] = None  # bound on p; None for the rings that take no p
     # the algebraic facts the checks and the prime stream read off a ring
     has_gcd = True
@@ -211,9 +210,19 @@ class Ring:
 
     # -- identity ----------------------------------------------------------
 
-    @property
-    def name(self) -> str:
-        return self.tag if self.p is None else f"{self.tag}({self.p})"
+    def __init__(self, p: Optional[int] = None):
+        """Rings with a ``P_MAX`` take a prime p up to it, the others none.
+        The bound is tested first: a primality test of a 4000-digit p takes
+        seconds."""
+        if self.P_MAX is None and p is not None:
+            raise ParameterError(f"p does not apply to ring {self.tag}")
+        if self.P_MAX is not None and p is None:
+            raise ModulusMissing(f"ring {self.tag} needs a prime p")
+        if p is not None and (p > self.P_MAX or not is_prime(p)):
+            bound = _bound(self.P_MAX)
+            raise ParameterError(f"ring {self.tag} needs a prime p <= {bound}, got {_echo(p)}")
+        self.p = p
+        self.name = self.tag if p is None else f"{self.tag}({p})"
 
     def __repr__(self) -> str:
         return f"<ring {self.name}>"
@@ -363,6 +372,19 @@ class Ring:
         quot = self.divide(self.mul(a, b), self._operand_gcd(a, b))
         return self._class(self.canonical(quot))
 
+    def _check(self, e) -> None:
+        """Refuse an element that carries another p (fp and valp elements do)."""
+        if e.p != self.p:
+            raise RingMismatch(f"an element of {self.tag}({e.p}) used in {self.name}")
+
+    def _guard_norm(self, a) -> None:
+        """Refuse a gauss or zs5 element whose norm passes ``NORM_MAX``,
+        named by the size of its largest part once that passes 64 bits."""
+        if a.norm > self.NORM_MAX:
+            bits = max(abs(v) for v in a).bit_length()
+            shown = self.fmt(a) if bits <= 64 else f"an element with a {bits}-bit part"
+            raise SizeGuard(f"the norm of {shown} exceeds the {self.tag} bound {self.NORM_MAX}")
+
     def claim(self, *classes: ClassId) -> None:
         """Refuse a class of another ring."""
         for c in classes:
@@ -428,8 +450,7 @@ class IntegerRing(Ring):
     def _guard(self, a, bound) -> None:
         if abs(a) > bound:
             shown = f"|{a}|" if a.bit_length() <= 64 else _echo(a)
-            limit = "10^120" if bound == self.VALUE_MAX else bound
-            raise SizeGuard(f"{shown} exceeds the z bound {limit}")
+            raise SizeGuard(f"{shown} exceeds the z bound {_bound(bound)}")
 
     def _factor_reps(self, a):
         self._guard(a, self.VALUE_MAX)
@@ -521,18 +542,13 @@ class GaussianRing(Ring):
         qb = self.mul(Gauss(self._round_div(t.re, n), self._round_div(t.im, n)), b)
         return Gauss(a.re - qb.re, a.im - qb.im)
 
-    def _guard(self, a) -> None:
-        if a.norm > self.NORM_MAX:
-            shown = _echo_element(self, a, a.re, a.im)
-            raise SizeGuard(f"the norm of {shown} exceeds the gauss bound {self.NORM_MAX}")
-
     def _prime_above(self, p: int):
         # p = 1 mod 4 splits; gcd with a square root of -1 finds one factor
         r = sqrt_minus_one(p)
         return self.canonical(self._gcd(Gauss(p, 0), Gauss(r, 1)))
 
     def _factor_reps(self, a):
-        self._guard(a)
+        self._guard_norm(a)
         out = []
         rest = a
         for p in factor(a.norm):
@@ -564,17 +580,8 @@ class PolynomialRing(Ring):
     P_MAX = 17
     DEG_MAX = 12  # caps divisor enumeration; larger degrees exit 2
 
-    def __init__(self, p: int):
-        if p > self.P_MAX or not is_prime(p):
-            raise ParameterError(f"fp modulus must be a prime <= {self.P_MAX}, got {_echo(p)}")
-        self.p = p
-
     def poly(self, coeffs) -> Poly:
         return Poly(self.p, _trim(c % self.p for c in coeffs))
-
-    def _check(self, e) -> None:
-        if e.p != self.p:
-            raise RingMismatch(f"polynomial over F_{e.p} used in {self.name}")
 
     def is_zero(self, e) -> bool:
         return not e.coeffs
@@ -667,7 +674,7 @@ class PolynomialRing(Ring):
 
     def _guard(self, degree: int) -> None:
         if degree > self.DEG_MAX:
-            raise SizeGuard(f"degree {degree} exceeds the fp bound {self.DEG_MAX}")
+            raise SizeGuard(f"degree {_echo(degree)} exceeds the fp bound {self.DEG_MAX}")
 
     def _factor_reps(self, a):
         # f / gcd(f, f') is the square-free product of the irreducibles whose
@@ -793,11 +800,6 @@ class RootMinus5Ring(Ring):
         x, y = _parse_pair(text, "s")
         return Root5(x, y)
 
-    def _guard(self, a) -> None:
-        if a.norm > self.NORM_MAX:
-            shown = _echo_element(self, a, a.x, a.y)
-            raise SizeGuard(f"the norm of {shown} exceeds the zs5 bound {self.NORM_MAX}")
-
     @staticmethod
     def _norm_solutions(d: int):
         # canonical-quadrant solutions of x^2 + 5y^2 = d
@@ -810,7 +812,7 @@ class RootMinus5Ring(Ring):
         return out
 
     def _divisor_reps(self, a, cap=None):
-        self._guard(a)
+        self._guard_norm(a)
         n = a.norm
         divs = [1]
         for p, e in factor(n).items():
@@ -855,21 +857,12 @@ class PPowerRing(Ring):
     finite_units = False
 
     K_MAX = 4096
-    P_MAX = 10**120  # as z's VALUE_MAX; a primality test of a 4000-digit p takes seconds
-
-    def __init__(self, p: int):
-        if p > self.P_MAX or not is_prime(p):
-            raise ParameterError(f"valp parameter must be a prime <= 10^120, got {_echo(p)}")
-        self.p = p
+    P_MAX = 10**120  # as z's VALUE_MAX
 
     def element(self, k: int) -> PPow:
         if k < 0:
             raise ParameterError("valuation exponent must be >= 0")
         return PPow(self.p, k)
-
-    def _check(self, e) -> None:
-        if e.p != self.p:
-            raise RingMismatch(f"element of valp({e.p}) used in {self.name}")
 
     def is_zero(self, e) -> bool:
         return False  # zero has no representation here
@@ -921,7 +914,7 @@ class PPowerRing(Ring):
             if v != 1:
                 raise ElementSyntaxError(text, pos, f"not a power of {self.p}")
         if k > self.K_MAX:
-            raise SizeGuard(f"exponent {k} exceeds the valp bound {self.K_MAX}")
+            raise SizeGuard(f"exponent {_echo(k)} exceeds the valp bound {self.K_MAX}")
         return PPow(self.p, k)
 
     def _factor_reps(self, a):
@@ -942,15 +935,8 @@ RING_TAGS = tuple(RINGS)
 @lru_cache(maxsize=None)
 def make_ring(tag: str, p: Optional[int] = None) -> Ring:
     """The ring with this tag; rings with a ``P_MAX`` take a prime p, the
-    others none."""
+    others none (``Ring.__init__``)."""
     if tag not in RINGS:
-        shown = repr(tag) if len(str(tag)) <= 64 else f"of {len(str(tag))} characters"
+        shown = brief(str(tag)) or f"of {len(str(tag))} characters"
         raise ParameterError(f"unknown ring tag {shown}")
-    cls = RINGS[tag]
-    if cls.P_MAX is None:
-        if p is not None:
-            raise ParameterError(f"p does not apply to ring {tag}")
-        return cls()
-    if p is None:
-        raise ModulusMissing(f"ring {tag} needs a prime p")
-    return cls(p)
+    return RINGS[tag](p)

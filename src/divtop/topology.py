@@ -162,20 +162,10 @@ class Fragment:
         return bool(self._rows[self.index_of(p)] >> self.index_of(q) & 1)
 
     def is_open(self, s: PointSet) -> bool:
-        self.claim(s)
-        bits = s.bits
-        for j in _iter_bits(bits):
-            if self._cols[j] & ~bits:
-                return False
-        return True
+        return self.interior(s) == s
 
     def is_closed(self, s: PointSet) -> bool:
-        self.claim(s)
-        bits = s.bits
-        for i in _iter_bits(bits):
-            if self._rows[i] & ~bits:
-                return False
-        return True
+        return self.closure(s) == s
 
     def closure(self, s: PointSet) -> PointSet:
         self.claim(s)
@@ -238,13 +228,11 @@ def build_fragment(ring: Ring, seeds: Iterable[ClassId]) -> Fragment:
     if not seeds:
         raise EmptyFamily("at least one seed class is needed")
     ring.claim(*seeds)
-    # one seed's divisor classes are the whole fragment, so the ring can
-    # refuse an over-cap seed before it lists them
-    cap = POINT_CAP if len(seeds) == 1 else None
+    # each seed's divisor classes (its own among them) are part of the
+    # fragment, so the ring can refuse an over-cap seed before it lists them
     classes = set()
     for s in seeds:
-        classes.add(s)
-        classes.update(ring.divisor_classes(s.rep, cap))
+        classes.update(ring.divisor_classes(s.rep, POINT_CAP))
     if len(classes) > POINT_CAP:
         raise FragmentTooLarge(len(classes), POINT_CAP)
     points = tuple(sorted(classes, key=lambda c: c.text))

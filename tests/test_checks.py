@@ -17,6 +17,7 @@ from divtop.errors import (
     NotIrreducible,
     ParameterError,
     RingMismatch,
+    SizeGuard,
 )
 from divtop.formats import report_to_json
 from divtop.rings import ClassId, Gauss, PPow, Root5, make_ring
@@ -460,6 +461,30 @@ def test_chain_length_cap():
     assert C.noetherian_chain(V2, p, POINT_CAP).details["sizes"][-1] == POINT_CAP
     with pytest.raises(ParameterError, match=f"chain length must be <= {POINT_CAP}"):
         C.noetherian_chain(V2, p, POINT_CAP + 1)
+
+
+@pytest.mark.parametrize(
+    "tag, p, seed, n, message",
+    [
+        ("fp", 17, "x^12+x+1", 4096, "degree 24 exceeds the fp bound 12"),
+        ("fp", 2, "x^12+x+1", 4096, "degree 24 exceeds the fp bound 12"),
+        ("z", None, "7777777777", 1000, "an integer of 66 bits exceeds the z bound 1000000000000"),
+    ],
+    ids=["fp17", "fp2", "z"],
+)
+def test_chain_is_refused_at_the_first_power_past_a_guard(tag, p, seed, n, message):
+    # fp products pass no size limit: multiplying out all n powers before the
+    # build refused a^n took about 3.7 minutes for these three cases on a
+    # 2-CPU container.  a^2 is listed, and refused, before a^3 is made.  A
+    # fresh ring keeps the counting mul off the shared instance
+    ring = divtop.rings.RINGS[tag](p)
+    muls = []
+    mul = ring.mul
+    ring.mul = lambda a, b: muls.append(1) or mul(a, b)
+    a = ring.canonical_class(ring.parse(seed))
+    with pytest.raises(SizeGuard, match=f"^{message}$"):
+        C.noetherian_chain(ring, a, n)
+    assert len(muls) == 1
 
 
 def test_chain_every_nonunit_strict():

@@ -2,11 +2,14 @@
 
 import ast
 import hashlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from datetime import timedelta
 from functools import cache
 from pathlib import Path
 
@@ -15,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import divtop
-from divtop import cli, rings
+from divtop import cli, primes, rings, topology
 from divtop.cli import main
 from divtop.formats import report_to_json
 from divtop.intarith import RHO_BUDGET
@@ -171,6 +174,55 @@ def test_readme_lists_the_props_and_rings_in_table_order():
             assert units == str(len(rings.make_ring(tag).units()))
 
 
+def _guards_section():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return " ".join(readme.split("\n## Guards\n")[1].split("\n## ")[0].split())
+
+
+def test_readme_guards_state_the_constants():
+    def number(text):  # 4096, 10^12 or 2^20
+        base, _, exp = text.partition("^")
+        return int(base) ** int(exp or 1)
+
+    fp, valp = rings.PolynomialRing, rings.PPowerRing
+    claims = {
+        r"Fragments are capped at (\S+) points": topology.POINT_CAP,
+        r"open-set enumeration at (\S+) points": topology.ENUM_CAP,
+        r"\(the dense-open check at (\S+)\)": topology.DENSE_OPEN_CAP,
+        r"refuses integers beyond (\S+),": rings.IntegerRing.ENUM_MAX,
+        r"`fp` polynomials beyond degree (\S+),": fp.DEG_MAX,
+        r"`zs5` norms beyond (\S+);": rings.RootMinus5Ring.NORM_MAX,
+        r"caps its exponent search at (\S+)\.": primes.M_CAP,
+        r"takes at most (\S+) Brent-rho steps": RHO_BUDGET,
+        r"would pass the (\S+)-point cap": topology.POINT_CAP,
+        r"`fp` takes a prime ≤ (\S+) ": fp.P_MAX,
+        r"`valp` a prime ≤ (\S+) ": valp.P_MAX,
+        r"An `fp` text past degree (\S+) ": fp.DEG_MAX,
+        r"a `valp` exponent past (\S+),": valp.K_MAX,
+        r"takes `--n` ≤ (\S+),": topology.POINT_CAP,
+    }
+    guards = _guards_section()
+    for pattern, value in claims.items():
+        assert number(re.search(pattern, guards).group(1)) == value, pattern
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("fragment", "--ring", "fp", "--seeds", "x"),
+        ("fragment", "--ring", "z", "--p", "5", "--seeds", "6"),
+        ("fragment", "--ring", "fp", "--p", "19", "--seeds", "x"),
+        ("check", "--ring", "fp", "--p", "17", "--seeds", "x^12+x+1", "--props", "chain",
+         "--n", "4096"),
+    ],
+    ids=["no-p", "p-on-z", "p-over-bound", "chain"],
+)
+def test_readme_guards_quote_the_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"(`{err.strip()}`" in _guards_section()
+
+
 def test_check_sep_nbhd_needs_three_irreducibles(capsys):
     code, _, err = run(
         capsys, "check", "--ring", "valp", "--p", "2", "--seeds", "p^9", "--props", "sep-nbhd"
@@ -285,9 +337,10 @@ def test_huge_integer_literal_exits_2(capsys, ring, seed):
 @pytest.mark.parametrize(
     "ring, message",
     [
-        ("fp", "fp modulus must be a prime <= 17"),
-        ("valp", "valp parameter must be a prime <= 10^120"),
+        ("fp", "ring fp needs a prime p <= 17"),
+        ("valp", "ring valp needs a prime p <= 10^120"),
     ],
+    ids=["fp", "valp"],
 )
 def test_huge_p_is_refused_before_a_primality_test(capsys, monkeypatch, ring, message):
     # one Miller-Rabin round on a 4000-digit p takes seconds
@@ -318,7 +371,7 @@ SEVENS = "7" * 3000
 @pytest.mark.parametrize(
     "argv",
     [
-        ("--ring", "z", "--seeds", "7777777777", "--props", "chain", "--n", "1000"),
+        ("--ring", "z", "--seeds", f"{SEVENS},{SEVENS}", "--props", "ultra"),
         ("--ring", "z", "--seeds", SEVENS, "--props", "t1"),
         ("--ring", "gauss", "--seeds", SEVENS + "i", "--props", "regular"),
     ],
@@ -646,3 +699,78 @@ def test_gcd_ring_intersection_past_the_fragment_cap(capsys, seeds, digest):
     )
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# the CLI contract on any argv: an exit code, brief stderr, bounded work
+
+SEED_TEXTS = {
+    "z": ["12", "7", "-30", "720720", "97772875200", "7777777777"],
+    "gauss": ["1+1i", "3", "2+1i", "-5i", "720720"],
+    "fp": ["x", "x^2+1", "x^3+2x", "x^12+x+1", "2"],
+    "zs5": ["6", "2+2s", "1-1s", "7560"],
+    "valp": ["p", "p^3", "8", "p^4096"],
+}
+HOSTILE_TEXTS = [
+    "", " ", "1\t2", "\t12\n", "１２", "१२", "٣", "\xa012", "0", "1", "-", "x^", "p^4097",
+    "1+1i+1", "2 3", "−5", "7" * 5000, "1a" + "7" * 5000, "x^" + "9" * 4000, "p^" + "9" * 4000,
+]
+OUTS = {"fragment": ["json", "dot", "text"], "check": ["json", "text"], "primes": []}
+
+
+@st.composite
+def argvs(draw):
+    """Subcommand x ring x --p x seed texts x props x --n or --count.  Half
+    the draws are hostile: there --p may be a non-prime, 0, negative or
+    10^130, a seed text hostile, a prop unknown and an option misplaced."""
+    command = draw(st.sampled_from(sorted(OUTS)))
+    ring = draw(st.sampled_from(rings.RING_TAGS))
+    hostile = draw(st.booleans())
+    argv = [command, "--ring", ring]
+    odd_p = hostile and draw(st.booleans())
+    fitting = [2, 3, 5, 17] if rings.RINGS[ring].P_MAX else [None]
+    p = draw(st.sampled_from([None, 19, 4, 1, 0, -3, 10**130] if odd_p else fitting))
+    if p is not None:
+        argv.append(f"--p={p}")
+    text = st.sampled_from(SEED_TEXTS[ring])
+    if hostile:
+        text = st.one_of(text, st.sampled_from(HOSTILE_TEXTS), st.text())
+    seeds = ",".join(draw(st.lists(text, min_size=1, max_size=3)))
+    if command != "primes":
+        argv.append(f"--seeds={seeds}")
+    elif draw(st.booleans()):
+        argv.append(f"--start={seeds}")
+    if command == "check":
+        props = list(cli.PROPS) + (["", "bogus", "x" * 5000] if hostile else [])
+        argv.append("--props=" + ",".join(draw(st.lists(st.sampled_from(props), min_size=1, max_size=4))))
+    length = st.one_of(st.sampled_from([0, 1, 2, 4096, 4097]), st.integers(-3, 40))
+    if command == "check" and draw(st.booleans()):
+        argv.append(f"--n={draw(length)}")
+    if command == "primes":
+        argv.append(f"--count={draw(length)}")
+    if OUTS[command] and draw(st.booleans()):
+        argv.append(f"--out={draw(st.sampled_from(OUTS[command]))}")
+    if hostile and draw(st.booleans()) and draw(st.booleans()):
+        argv.append(draw(st.sampled_from(["--count=1", "--props=t0", "--out=yaml", "--bogus"])))
+    return argv
+
+
+@given(argvs())
+@example(["check", "--ring", "fp", "--p=2", "--seeds=x^12+x+1", "--props=chain", "--n=4096"])
+@example(["check", "--ring", "z", "--seeds=1a" + "7" * 5000, "--props=t0"])
+@example(["check", "--ring", "z", "--seeds=6", "--props=" + "\x7f" * 60])
+@example(["fragment", "--ring", "fp", "--p=17", "--seeds=x^" + "9" * 4000])
+@settings(max_examples=200, deadline=timedelta(seconds=5))
+def test_cli_contract(argv):
+    # the guards bound the work, so every argv ends within the deadline: in an
+    # exit code of 0, 1 or 2, or argparse's exit 2, with stderr short
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2
+            code = None
+    assert code in (0, 1, 2, None)
+    assert (err.getvalue() == "") == (code in (0, 1))
+    assert len(err.getvalue().encode()) <= 400

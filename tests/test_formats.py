@@ -17,10 +17,11 @@ from divtop.formats import (
     ring_from_descriptor,
 )
 from divtop import checks as C
-from divtop.rings import Gauss, Poly, PPow, Root5, make_ring
+from divtop.rings import RING_TAGS, Gauss, Poly, PPow, Root5, make_ring
 from divtop.topology import build_fragment
 
 from oracles import transitive_reduction_oracle
+from strategies import RING_SEEDS
 
 Z = make_ring("z")
 G = make_ring("gauss")
@@ -359,15 +360,75 @@ def _doc(**changes):
         _doc(edges=None),
         _doc(edges=[["2", "3"]]),
         _doc()[:-1],
+        "[" * 10**5,
     ],
     ids=[
         "list", "no-ring", "unknown-tag", "string-p", "ring-list", "integer-seed",
-        "seed-string", "no-points", "no-edges", "forged-edge", "not-json",
+        "seed-string", "no-points", "no-edges", "forged-edge", "not-json", "deep",
     ],
 )
 def test_malformed_fragment_document_raises_divtop_error(text):
     with pytest.raises(DivtopError):
         fragment_from_json(text)
+
+
+LONG = ("7" * 10**6, "x" * 10**6, "1a" * 500_000)
+TEXTS = st.one_of(
+    st.sampled_from(["6", "12", "4", "x", "x^2+1", "p", "p^3", "8", "1+1i", "2+2s", "0", "1"]),
+    st.sampled_from(("1\t2", "１２", "p^4097", "x^" + "9" * 4000) + LONG),
+    st.text(max_size=8),
+)
+OTHER_TYPES = st.sampled_from([None, 0, 2.5, True, [], {}, ["2", "3"], [["2", "3"]], 10**130])
+PS = st.sampled_from([None, 2, 3, 5, 17, 19, 4, 0, -3, 10**130, True, "3"])
+
+
+@st.composite
+def mutated_documents(draw):
+    """A valid fragment document with one or two keys dropped or retyped,
+    its ring tag or p changed, or its seeds, points or edges reordered or
+    one of them forged."""
+    ring, classes = draw(RING_SEEDS)
+    doc = json.loads(fragment_to_json(build_fragment(ring, classes)))
+    for _ in range(draw(st.integers(1, 2))):
+        key = draw(st.sampled_from(["seeds", "ring", "points", "edges"] * 3 + ["schema"]))
+        kind = draw(st.sampled_from(["change", "change", "change", "retype", "drop"]))
+        value = doc.get(key)
+        if kind == "drop":
+            doc.pop(key, None)
+        elif kind == "retype" or not isinstance(value, (list, dict)):
+            doc[key] = draw(st.one_of(OTHER_TYPES, TEXTS))
+        elif key == "ring":
+            tag, p = draw(st.one_of(st.sampled_from(RING_TAGS), TEXTS)), draw(PS)
+            doc[key] = {"tag": tag} if p is None else {"tag": tag, "p": p}
+        elif draw(st.booleans()):
+            doc[key] = draw(st.permutations(value))
+        elif value:
+            i = draw(st.integers(0, len(value) - 1))
+            if key == "edges":
+                pair = st.lists(st.sampled_from(doc.get("points") or ["2"]), min_size=2, max_size=2)
+                forged = draw(st.one_of(pair, OTHER_TYPES, TEXTS))
+            else:
+                forged = draw(TEXTS)
+            doc[key] = value[:i] + [forged] + value[i + 1:]
+    return doc
+
+
+@given(mutated_documents())
+@example({**json.loads(fragment_to_json(zfrag(12))), "seeds": ["1a" * 500_000]})
+@example({**json.loads(fragment_to_json(zfrag(4, 6))), "seeds": ["6", "4"]})
+@settings(max_examples=300, deadline=None)
+def test_mutated_fragment_documents_rebuild_or_refuse_briefly(doc):
+    # the read-back contract: the fragment the document's own seeds build, or
+    # a DivtopError whose message stays short whatever the document holds
+    try:
+        fragment = fragment_from_json(json.dumps(doc))
+    except DivtopError as exc:
+        assert len(str(exc).encode()) <= 400
+        return
+    ring = make_ring(doc["ring"]["tag"], doc["ring"].get("p"))
+    want = build_fragment(ring, [ring.canonical_class(ring.parse(t)) for t in doc["seeds"]])
+    assert fragment == want
+    assert fragment_to_json(fragment) == fragment_to_json(want)
 
 
 def test_fragment_json_stable_bytes():

@@ -13,7 +13,7 @@ from divtop.errors import (
     PointNotInFragment,
     RingMismatch,
 )
-from divtop.rings import Gauss, PPow, Root5, make_ring
+from divtop.rings import Gauss, PPow, Ring, Root5, make_ring
 from divtop.topology import _divisibility, build_fragment
 
 from oracles import (
@@ -214,18 +214,19 @@ def test_over_cap_seed_is_refused_before_enumeration(monkeypatch, ring, seed, at
     # enumeration starts from one(), which factoring never calls
     from divtop.errors import FragmentTooLarge
 
-    seed = ring.canonical_class(seed)
+    seed, atom = ring.canonical_class(seed), ring.canonical_class(atom)
     started = []
     one = type(ring).one
     monkeypatch.setattr(type(ring), "one", lambda self: started.append(1) or one(self))
+    make = Ring._class
+    monkeypatch.setattr(Ring, "_class", lambda self, rep: started.append(rep) or make(self, rep))
     message = f"^{points} points exceeds the cap 4096$"
-    with pytest.raises(FragmentTooLarge, match=message):
-        build_fragment(ring, [seed])
+    # every seed is held to the cap, so a union is refused on its over-cap
+    # seed, with the same message, before any class of it is made
+    for seeds in ([seed], [seed, atom]):
+        with pytest.raises(FragmentTooLarge, match=message):
+            build_fragment(ring, seeds)
     assert started == []
-    # a union is counted once enumerated, with the same message
-    with pytest.raises(FragmentTooLarge, match=message):
-        build_fragment(ring, [seed, ring.canonical_class(atom)])
-    assert started
 
 
 def test_fragment_is_divisor_closed():
