@@ -395,7 +395,7 @@ def mutated_documents(draw):
         value = doc.get(key)
         if kind == "drop":
             doc.pop(key, None)
-        elif kind == "retype" or not isinstance(value, (list, dict)):
+        elif kind == "retype" or not isinstance(value, dict if key == "ring" else list):
             doc[key] = draw(st.one_of(OTHER_TYPES, TEXTS))
         elif key == "ring":
             tag, p = draw(st.one_of(st.sampled_from(RING_TAGS), TEXTS)), draw(PS)
@@ -405,7 +405,10 @@ def mutated_documents(draw):
         elif value:
             i = draw(st.integers(0, len(value) - 1))
             if key == "edges":
-                pair = st.lists(st.sampled_from(doc.get("points") or ["2"]), min_size=2, max_size=2)
+                # the points key may already be dropped or retyped to a non-list
+                points = doc.get("points")
+                names = points if isinstance(points, list) and points else ["2"]
+                pair = st.lists(st.sampled_from(names), min_size=2, max_size=2)
                 forged = draw(st.one_of(pair, OTHER_TYPES, TEXTS))
             else:
                 forged = draw(TEXTS)
