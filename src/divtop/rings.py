@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import re
 from functools import lru_cache, reduce
+from itertools import zip_longest
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import (
@@ -104,13 +105,6 @@ class ClassId(NamedTuple):
         return self.text
 
 
-def _trim(coeffs) -> tuple:
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
-
-
 # ---------------------------------------------------------------------------
 # parsing helpers
 
@@ -186,6 +180,15 @@ def _parse_pair(text: str, sym: str) -> tuple:
     return pair.get(0, 0), pair.get(1, 0)
 
 
+def _fmt_pair(a: int, b: int, sym: str) -> str:
+    """Text of a + b*sym in the grammar ``_parse_pair`` reads."""
+    if b == 0:
+        return str(a)
+    if a == 0:
+        return f"{b}{sym}"
+    return f"{a}{b:+d}{sym}"
+
+
 # ---------------------------------------------------------------------------
 # adapter base
 
@@ -212,15 +215,16 @@ class Ring:
 
     def __init__(self, p: Optional[int] = None):
         """Rings with a ``P_MAX`` take a prime p up to it, the others none.
-        The bound is tested first: a primality test of a 4000-digit p takes
-        seconds."""
+        p is an ``int`` (not a bool), and the bound is tested next: a
+        primality test of a 4000-digit p takes seconds."""
         if self.P_MAX is None and p is not None:
             raise ParameterError(f"p does not apply to ring {self.tag}")
         if self.P_MAX is not None and p is None:
             raise ModulusMissing(f"ring {self.tag} needs a prime p")
-        if p is not None and (p > self.P_MAX or not is_prime(p)):
+        if p is not None and (type(p) is not int or p > self.P_MAX or not is_prime(p)):
+            shown = _echo(p) if type(p) is int else f"a {type(p).__name__}"
             bound = _bound(self.P_MAX)
-            raise ParameterError(f"ring {self.tag} needs a prime p <= {bound}, got {_echo(p)}")
+            raise ParameterError(f"ring {self.tag} needs a prime p <= {bound}, got {shown}")
         self.p = p
         self.name = self.tag if p is None else f"{self.tag}({p})"
 
@@ -522,11 +526,7 @@ class GaussianRing(Ring):
         return (e.norm, e.re, e.im)
 
     def fmt(self, e) -> str:
-        if e.im == 0:
-            return str(e.re)
-        if e.re == 0:
-            return f"{e.im}i"
-        return f"{e.re}{e.im:+d}i"
+        return _fmt_pair(e.re, e.im, "i")
 
     def parse(self, text: str):
         re_, im = _parse_pair(text, "i")
@@ -558,16 +558,13 @@ class GaussianRing(Ring):
                 cands = [Gauss(p, 0)]
             else:
                 pi = self._prime_above(p)
-                cands = sorted({pi, self.canonical(pi.conj())}, key=self.sort_key)
+                cands = [pi, self.canonical(pi.conj())]
             for pi in cands:
-                while True:
-                    q = self.divide(rest, pi)
-                    if q is None:
-                        break
-                    out.append(self.canonical(pi))
+                while (q := self.divide(rest, pi)) is not None:
+                    out.append(pi)
                     rest = q
         assert self.is_unit(rest)
-        return tuple(sorted(out, key=self.sort_key))
+        return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +578,12 @@ class PolynomialRing(Ring):
     DEG_MAX = 12  # caps divisor enumeration; larger degrees exit 2
 
     def poly(self, coeffs) -> Poly:
-        return Poly(self.p, _trim(c % self.p for c in coeffs))
+        """The normal form: coefficients reduced mod p, no trailing zeros.
+        mul, add and divmod work on plain integers and return through here."""
+        out = [c % self.p for c in coeffs]
+        while out and not out[-1]:
+            out.pop()
+        return Poly(self.p, tuple(out))
 
     def is_zero(self, e) -> bool:
         return not e.coeffs
@@ -598,25 +600,17 @@ class PolynomialRing(Ring):
     def mul(self, a, b):
         self._check(a)
         self._check(b)
-        if self.is_zero(a) or self.is_zero(b):
-            return Poly(self.p, ())
         out = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
         for i, ai in enumerate(a.coeffs):
             if ai:
                 for j, bj in enumerate(b.coeffs):
-                    out[i + j] = (out[i + j] + ai * bj) % self.p
-        return Poly(self.p, _trim(out))
+                    out[i + j] += ai * bj
+        return self.poly(out)
 
     def add(self, a, b):
         self._check(a)
         self._check(b)
-        n = max(len(a.coeffs), len(b.coeffs))
-        out = [0] * n
-        for i in range(n):
-            ai = a.coeffs[i] if i < len(a.coeffs) else 0
-            bi = b.coeffs[i] if i < len(b.coeffs) else 0
-            out[i] = (ai + bi) % self.p
-        return Poly(self.p, _trim(out))
+        return self.poly(x + y for x, y in zip_longest(a.coeffs, b.coeffs, fillvalue=0))
 
     def canonical(self, e):
         inv = pow(e.coeffs[-1], -1, self.p)
@@ -630,6 +624,8 @@ class PolynomialRing(Ring):
         dd = den.degree
         if num.degree < dd:
             return Poly(self.p, ()), num
+        # the quotient's digits are reduced as they are made, so its leading
+        # one, num's leading coefficient over den's, is nonzero
         r = list(num.coeffs)
         q = [0] * (len(r) - dd)
         inv = pow(den.coeffs[-1], -1, self.p)
@@ -638,8 +634,8 @@ class PolynomialRing(Ring):
             q[k] = c
             if c:
                 for j, dj in enumerate(den.coeffs):
-                    r[k + j] = (r[k + j] - c * dj) % self.p
-        return Poly(self.p, _trim(q)), Poly(self.p, _trim(r[:dd]))
+                    r[k + j] -= c * dj
+        return Poly(self.p, tuple(q)), self.poly(r[:dd])
 
     def divide(self, numer, denom):
         q, r = self.divmod(numer, denom)
@@ -771,13 +767,10 @@ class RootMinus5Ring(Ring):
     def add(self, a, b):
         return Root5(a.x + b.x, a.y + b.y)
 
-    def neg(self, e):
-        return Root5(-e.x, -e.y)
-
     def canonical(self, e):
         if e.x > 0 or (e.x == 0 and e.y > 0):
             return e
-        return self.neg(e)
+        return Root5(-e.x, -e.y)
 
     def divide(self, numer, denom):
         n = denom.norm
@@ -790,11 +783,7 @@ class RootMinus5Ring(Ring):
         return (e.norm, e.x, e.y)
 
     def fmt(self, e) -> str:
-        if e.y == 0:
-            return str(e.x)
-        if e.x == 0:
-            return f"{e.y}s"
-        return f"{e.x}{e.y:+d}s"
+        return _fmt_pair(e.x, e.y, "s")
 
     def parse(self, text: str):
         x, y = _parse_pair(text, "s")
@@ -932,7 +921,7 @@ RINGS = {r.tag: r for r in (IntegerRing, GaussianRing, PolynomialRing, RootMinus
 RING_TAGS = tuple(RINGS)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def make_ring(tag: str, p: Optional[int] = None) -> Ring:
     """The ring with this tag; rings with a ``P_MAX`` take a prime p, the
     others none (``Ring.__init__``)."""

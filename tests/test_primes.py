@@ -2,7 +2,13 @@
 
 import pytest
 
-from divtop.errors import AssociatedInputs, CapabilityMissing, NotIrreducible, RingMismatch
+from divtop.errors import (
+    AssociatedInputs,
+    CapabilityMissing,
+    NotIrreducible,
+    ParameterError,
+    RingMismatch,
+)
 from divtop.primes import euclid_step, prime_stream
 from divtop.rings import Gauss, PPow, make_ring
 
@@ -105,6 +111,8 @@ def test_zs5_refused():
 
 
 def test_member_validation():
+    with pytest.raises(ParameterError, match="^prime list must be nonempty$"):
+        euclid_step(Z, [])
     with pytest.raises(NotIrreducible):
         euclid_step(Z, zlist(4))
     with pytest.raises(AssociatedInputs):

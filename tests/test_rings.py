@@ -2,10 +2,13 @@
 
 import math
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_add, gf_div, gf_mul
 
 from divtop.errors import (
     CapabilityMissing,
@@ -18,7 +21,7 @@ from divtop.errors import (
     ZeroDivisor,
     ZeroElement,
 )
-from divtop.rings import RING_TAGS, Gauss, PPow, Root5, make_ring
+from divtop.rings import RING_TAGS, RINGS, Gauss, PPow, Root5, make_ring
 from divtop.topology import build_fragment
 
 from oracles import (
@@ -163,6 +166,16 @@ def test_divides_examples():
 def test_divides_zero_divisor():
     with pytest.raises(ZeroDivisor):
         Z.divides(0, 6)
+    with pytest.raises(ZeroDivisor, match="^polynomial division by zero$"):
+        F2.divmod(F2.parse("x"), F2.poly([]))
+
+
+def test_an_element_of_another_p_is_refused():
+    F5, V5 = make_ring("fp", 5), make_ring("valp", 5)
+    with pytest.raises(RingMismatch, match=r"^an element of fp\(3\) used in fp\(5\)$"):
+        F5.mul(F3.parse("x"), F5.parse("x"))
+    with pytest.raises(RingMismatch, match=r"^an element of valp\(3\) used in valp\(5\)$"):
+        V5.divide(V5.element(2), V3.element(1))
 
 
 def test_divides_norm_obstruction():
@@ -349,6 +362,18 @@ def test_fp_factor_guards():
             op(F2.poly([1] * 14))
 
 
+@pytest.mark.parametrize("tag, p", [("fp", 2.0), ("valp", 3.0), ("fp", True), ("fp", "5")])
+def test_make_ring_refuses_a_p_that_is_not_an_int(tag, p):
+    bound = "17" if tag == "fp" else "10^120"
+    message = "^" + re.escape(f"ring {tag} needs a prime p <= {bound}, got a {type(p).__name__}")
+    with pytest.raises(ParameterError, match=message):
+        RINGS[tag](p)
+    # 2.0 == 2 and 3.0 == 3 hash alike, and make_ring's cache, which holds
+    # F2 and V3 already, must not hand those out for them
+    with pytest.raises(ParameterError, match=message):
+        make_ring(tag, p)
+
+
 @pytest.mark.parametrize("tag", RING_TAGS)
 def test_make_ring_takes_p_exactly_on_fp_and_valp(tag):
     if tag in ("fp", "valp"):
@@ -459,6 +484,39 @@ def test_fp_factor_fixed_cases(ring, text, factors):
     e = ring.parse(text)
     assert [c.text for c in ring.factor(e)] == factors
     assert [c.rep for c in ring.factor(e)] == fp_sympy_factor(ring, e)
+
+
+FP_GF = tuple(make_ring("fp", p) for p in (2, 3, 5, 13, 17))
+
+
+@st.composite
+def fp_operand_pairs(draw):
+    # two polynomials of degree at most 12, zero among them
+    ring = draw(st.sampled_from(FP_GF))
+    coeffs = st.lists(st.integers(0, ring.p - 1), max_size=13)
+    return ring, ring.poly(draw(coeffs)), ring.poly(draw(coeffs))
+
+
+def _dense(ring, e) -> list:
+    """e in sympy's dense form, high degree first, once e is in normal form:
+    coefficients in [0, p) and no trailing zero."""
+    assert all(0 <= c < ring.p for c in e.coeffs)
+    assert not e.coeffs or e.coeffs[-1]
+    return list(reversed(e.coeffs))
+
+
+@given(fp_operand_pairs())
+@example((F2, F2.poly([]), F2.poly([1, 1])))
+@example((F17, F17.poly([3, 0, 16]), F17.poly([])))
+@settings(max_examples=300, deadline=None)
+def test_fp_primitives_against_galoistools(case):
+    ring, a, b = case
+    f, g, p = _dense(ring, a), _dense(ring, b), ring.p
+    assert _dense(ring, ring.mul(a, b)) == gf_mul(f, g, p, ZZ)
+    assert _dense(ring, ring.add(a, b)) == gf_add(f, g, p, ZZ)
+    if g:
+        q, r = ring.divmod(a, b)
+        assert [_dense(ring, q), _dense(ring, r)] == list(gf_div(f, g, p, ZZ))
 
 
 @given(st.one_of(fp_factor_cases(), FP_LARGE_ELEMENTS))

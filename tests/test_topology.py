@@ -229,6 +229,16 @@ def test_over_cap_seed_is_refused_before_enumeration(monkeypatch, ring, seed, at
     assert started == []
 
 
+def test_union_of_under_cap_seeds_is_refused():
+    from divtop.errors import FragmentTooLarge
+
+    seeds = [Z.canonical_class(v) for v in (23524300800, 26291865600, 31826995200)]
+    for s in seeds:
+        assert len(Z.divisor_classes(s.rep, 4096)) == 2303
+    with pytest.raises(FragmentTooLarge, match="^4607 points exceeds the cap 4096$"):
+        build_fragment(Z, seeds)
+
+
 def test_fragment_is_divisor_closed():
     rng = random.Random(5)
     for f in sample_fragments(rng, per_ring=3):
