@@ -15,7 +15,7 @@ from typing import List, Optional
 
 from . import checks as C
 from .checks import FAILS, HOLDS, WITNESS, CheckReport
-from .errors import DivtopError, brief
+from .errors import DivtopError, ParameterError, brief
 from .formats import (
     fragment_to_dot,
     fragment_to_json,
@@ -31,16 +31,12 @@ DEFAULT_CHAIN = 5
 PRIME_START = {"z": "2", "fp": "x", "gauss": "1+1i"}
 
 
-class UsageError(DivtopError):
-    pass
-
-
 def _seed_classes(ring: Ring, seeds: str) -> list:
     out = []
     for chunk in seeds.split(","):
         chunk = chunk.strip()
         if not chunk:
-            raise UsageError("empty seed in --seeds")
+            raise ParameterError("empty seed in --seeds")
         out.append(ring.canonical_class(ring.parse(chunk)))
     return out
 
@@ -72,7 +68,7 @@ def _intersection_report(ring: Ring, classes: list, fragment) -> CheckReport:
 def _sep_nbhd_report(ring: Ring, classes: list, n: int, fragment) -> CheckReport:
     iso = fragment().isolated().classes()
     if len(iso) < 3:
-        raise UsageError(
+        raise ParameterError(
             "sep-nbhd needs three non-associated irreducibles; "
             f"the seed fragment only has {len(iso)}"
         )
@@ -128,11 +124,10 @@ def cmd_check(ring: Ring, args) -> int:
     classes = _seed_classes(ring, args.seeds)
     props = [p.strip() for p in args.props.split(",") if p.strip()]
     if not props:
-        raise UsageError("no prop given")
+        raise ParameterError("no prop given")
     for p in props:
         if p not in PROPS:
-            shown = brief(p) or f"of {len(p)} characters"
-            raise UsageError(f"unknown prop {shown}; choose from {', '.join(PROPS)}")
+            raise ParameterError(f"unknown prop {brief(p)}; choose from {', '.join(PROPS)}")
     # built on first use, then shared by every prop
     fragment = cache(lambda: build_fragment(ring, classes))
     status = 0

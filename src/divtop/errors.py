@@ -1,11 +1,17 @@
 """Exception types shared across the package."""
 
 
-def brief(text: str) -> str | None:
-    """repr(text) while it takes at most 64 bytes, else None: an error
-    message names a longer outside text by its length instead."""
-    shown = repr(text[:65])
-    return shown if len(shown.encode()) <= 64 else None
+def brief(value) -> str:
+    """A value from outside as an error message names it: a str quoted while
+    that takes at most 64 bytes, an int in digits while it fits in 64 bits,
+    a longer one by its length or size, and any other value by its type."""
+    if isinstance(value, str):
+        shown = repr(value[:65])
+        return shown if len(shown.encode()) <= 64 else f"a text of {len(value)} characters"
+    if type(value) is int:
+        bits = value.bit_length()
+        return str(value) if bits <= 64 else f"an integer of {bits} bits"
+    return f"a {type(value).__name__}"
 
 
 class DivtopError(Exception):
@@ -79,8 +85,7 @@ class ElementSyntaxError(DivtopError):
     """Element text does not match the ring's grammar."""
 
     def __init__(self, text: str, position: int, reason: str):
-        where = brief(text) or f"a text of {len(text)} characters"
-        super().__init__(f"{reason} at position {position} in {where}")
+        super().__init__(f"{reason} at position {position} in {brief(text)}")
         self.text = text
         self.position = position
         self.reason = reason

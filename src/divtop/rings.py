@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import re
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import zip_longest
 from typing import Iterable, NamedTuple, Optional
 
@@ -122,11 +122,6 @@ def _int(literal: str) -> int:
         raise SizeGuard(f"integer literal of {digits} digits is too long to convert") from None
 
 
-def _echo(n: int) -> str:
-    """n for an error message: its digits when short, else only its size."""
-    return str(n) if n.bit_length() <= 64 else f"an integer of {n.bit_length()} bits"
-
-
 def _bound(n: int) -> str:
     """A guard bound for an error message: its digits while they fit in 64
     bits, else 10^k, the form every larger bound here takes."""
@@ -222,9 +217,8 @@ class Ring:
         if self.P_MAX is not None and p is None:
             raise ModulusMissing(f"ring {self.tag} needs a prime p")
         if p is not None and (type(p) is not int or p > self.P_MAX or not is_prime(p)):
-            shown = _echo(p) if type(p) is int else f"a {type(p).__name__}"
             bound = _bound(self.P_MAX)
-            raise ParameterError(f"ring {self.tag} needs a prime p <= {bound}, got {shown}")
+            raise ParameterError(f"ring {self.tag} needs a prime p <= {bound}, got {brief(p)}")
         self.p = p
         self.name = self.tag if p is None else f"{self.tag}({p})"
 
@@ -453,7 +447,7 @@ class IntegerRing(Ring):
 
     def _guard(self, a, bound) -> None:
         if abs(a) > bound:
-            shown = f"|{a}|" if a.bit_length() <= 64 else _echo(a)
+            shown = f"|{a}|" if a.bit_length() <= 64 else brief(a)
             raise SizeGuard(f"{shown} exceeds the z bound {_bound(bound)}")
 
     def _factor_reps(self, a):
@@ -670,7 +664,7 @@ class PolynomialRing(Ring):
 
     def _guard(self, degree: int) -> None:
         if degree > self.DEG_MAX:
-            raise SizeGuard(f"degree {_echo(degree)} exceeds the fp bound {self.DEG_MAX}")
+            raise SizeGuard(f"degree {brief(degree)} exceeds the fp bound {self.DEG_MAX}")
 
     def _factor_reps(self, a):
         # f / gcd(f, f') is the square-free product of the irreducibles whose
@@ -903,7 +897,7 @@ class PPowerRing(Ring):
             if v != 1:
                 raise ElementSyntaxError(text, pos, f"not a power of {self.p}")
         if k > self.K_MAX:
-            raise SizeGuard(f"exponent {_echo(k)} exceeds the valp bound {self.K_MAX}")
+            raise SizeGuard(f"exponent {brief(k)} exceeds the valp bound {self.K_MAX}")
         return PPow(self.p, k)
 
     def _factor_reps(self, a):
@@ -921,11 +915,10 @@ RINGS = {r.tag: r for r in (IntegerRing, GaussianRing, PolynomialRing, RootMinus
 RING_TAGS = tuple(RINGS)
 
 
-@lru_cache(maxsize=None, typed=True)
 def make_ring(tag: str, p: Optional[int] = None) -> Ring:
-    """The ring with this tag; rings with a ``P_MAX`` take a prime p, the
-    others none (``Ring.__init__``)."""
-    if tag not in RINGS:
-        shown = brief(str(tag)) or f"of {len(str(tag))} characters"
-        raise ParameterError(f"unknown ring tag {shown}")
+    """A new ring with this tag, the one gate for a ring asked for from
+    outside: tags are the ``RINGS`` keys, and rings with a ``P_MAX`` take a
+    prime p, the others none (``Ring.__init__``)."""
+    if not isinstance(tag, str) or tag not in RINGS:
+        raise ParameterError(f"unknown ring tag {brief(tag)}")
     return RINGS[tag](p)

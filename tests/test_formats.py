@@ -8,7 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from divtop.errors import DivtopError, ElementSyntaxError, ModulusMissing, SizeGuard
+from divtop.errors import (
+    DivtopError,
+    ElementSyntaxError,
+    ModulusMissing,
+    ParameterError,
+    SizeGuard,
+    brief,
+)
 from divtop.formats import (
     fragment_from_json,
     fragment_to_dot,
@@ -17,7 +24,7 @@ from divtop.formats import (
     ring_from_descriptor,
 )
 from divtop import checks as C
-from divtop.rings import RING_TAGS, Gauss, Poly, PPow, Root5, make_ring
+from divtop.rings import RING_TAGS, RINGS, Gauss, Poly, PPow, Ring, Root5, make_ring
 from divtop.topology import build_fragment
 
 from oracles import transitive_reduction_oracle
@@ -257,12 +264,69 @@ def test_descriptor_p_on_a_ring_without_one():
 
 
 @pytest.mark.parametrize(
+    "value, shown",
+    [
+        ("nope", "'nope'"),
+        ("x" * 62, repr("x" * 62)),  # 64 bytes quoted
+        ("x" * 63, "a text of 63 characters"),
+        ("é" * 31, repr("é" * 31)),  # 64 bytes in UTF-8
+        ("é" * 32, "a text of 32 characters"),
+        (5, "5"),
+        (-(2**64) + 1, str(-(2**64) + 1)),
+        (2**64, "an integer of 65 bits"),
+        (True, "a bool"),
+        (2.0, "a float"),
+        (None, "a NoneType"),
+        (["fp"], "a list"),
+        ({"p": 5}, "a dict"),
+    ],
+)
+def test_brief_names_a_value_shortly(value, shown):
+    assert brief(value) == shown
+
+
+# a ring's tag and p as a library caller or a JSON document may give them
+TAG_VALUES = [["fp"], {"tag": "fp"}, None, 5, 2.0, True, "nope", "q" * 10**6, 10**4000, *RING_TAGS]
+P_VALUES = [[5], {"p": 5}, None, 5, 4, 2.0, True, "5", "5" * 10**6, 10**4000]
+
+
+@pytest.mark.parametrize("tag", TAG_VALUES, ids=lambda v: type(v).__name__)
+@pytest.mark.parametrize("make", [make_ring, lambda t, p: ring_from_descriptor({"tag": t, "p": p})])
+def test_a_ring_from_outside_input_or_a_brief_refusal(make, tag):
+    # every refusal is a DivtopError of at most 400 bytes that names the
+    # refused tag or p by its value or its type, or states the p rule
+    for p in P_VALUES:
+        if tag not in RING_TAGS:
+            with pytest.raises(ParameterError) as exc:
+                make(tag, p)
+            assert str(exc.value) == f"unknown ring tag {brief(tag)}"
+        elif RINGS[tag].P_MAX is None:
+            if p is None:
+                assert isinstance(make(tag, p), Ring)
+                continue
+            with pytest.raises(ParameterError) as exc:
+                make(tag, p)
+            assert str(exc.value) == f"p does not apply to ring {tag}"
+        elif p is None:
+            with pytest.raises(ModulusMissing) as exc:
+                make(tag, p)
+        elif p == 5 and type(p) is int:
+            assert make(tag, p).name == f"{tag}(5)"
+            continue
+        else:
+            with pytest.raises(ParameterError) as exc:
+                make(tag, p)
+            assert str(exc.value).endswith(f", got {brief(p)}")
+        assert len(str(exc.value).encode()) <= 400
+
+
+@pytest.mark.parametrize(
     "schema, shown",
     [
         ("divtop/2", "'divtop/2'"),
-        ("x" * 10**6, "of 1000000 characters"),
-        (list(range(10**5)), "of type list"),
-        (None, "of type NoneType"),
+        ("x" * 10**6, "a text of 1000000 characters"),
+        (list(range(10**5)), "a list"),
+        (None, "a NoneType"),
     ],
     ids=["short", "long", "list", "missing"],
 )

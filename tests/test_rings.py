@@ -33,15 +33,10 @@ from oracles import (
     int_divisors,
     int_is_prime,
 )
-from strategies import ELEMENTS, RING_ELEMENTS
+# the rings that key ELEMENTS: make_ring returns a new ring on every call
+from strategies import ELEMENTS, F2, F3, G, RING_ELEMENTS, S5, V3, Z
 
-Z = make_ring("z")
-G = make_ring("gauss")
-F2 = make_ring("fp", 2)
-F3 = make_ring("fp", 3)
-S5 = make_ring("zs5")
 V2 = make_ring("valp", 2)
-V3 = make_ring("valp", 3)
 
 ALL_RINGS = (Z, G, F2, F3, S5, V2)
 
@@ -362,14 +357,17 @@ def test_fp_factor_guards():
             op(F2.poly([1] * 14))
 
 
-@pytest.mark.parametrize("tag, p", [("fp", 2.0), ("valp", 3.0), ("fp", True), ("fp", "5")])
-def test_make_ring_refuses_a_p_that_is_not_an_int(tag, p):
+@pytest.mark.parametrize(
+    "tag, p, shown",
+    [("fp", 2.0, "a float"), ("valp", 3.0, "a float"), ("fp", True, "a bool"), ("fp", "5", "'5'")],
+)
+def test_make_ring_refuses_a_p_that_is_not_an_int(tag, p, shown):
+    # 2.0 == 2 and 3.0 == 3 pass the bound and the primality test, so the
+    # type of p is tested before either
     bound = "17" if tag == "fp" else "10^120"
-    message = "^" + re.escape(f"ring {tag} needs a prime p <= {bound}, got a {type(p).__name__}")
+    message = "^" + re.escape(f"ring {tag} needs a prime p <= {bound}, got {shown}") + "$"
     with pytest.raises(ParameterError, match=message):
         RINGS[tag](p)
-    # 2.0 == 2 and 3.0 == 3 hash alike, and make_ring's cache, which holds
-    # F2 and V3 already, must not hand those out for them
     with pytest.raises(ParameterError, match=message):
         make_ring(tag, p)
 
