@@ -229,25 +229,34 @@ def build_fragment(ring: Ring, seeds: Iterable[ClassId]) -> Fragment:
         raise EmptyFamily("at least one seed class is needed")
     ring.claim(*seeds)
     # each seed's divisor classes (its own among them) are part of the
-    # fragment, so the ring can refuse an over-cap seed before it lists them
+    # fragment, so the ring can refuse an over-cap seed before it lists them.
+    # Largest first: a seed already in the union divides a listed seed, whose
+    # divisor classes hold its own, so it is not listed again
     classes = set()
-    for s in seeds:
-        classes.update(ring.divisor_classes(s.rep, POINT_CAP))
+    divisor_sets = []
+    for s in sorted(seeds, key=ring.class_sort_key, reverse=True):
+        if s not in classes:
+            divisor_sets.append(ring.divisor_classes(s.rep, POINT_CAP))
+            classes |= divisor_sets[-1]
     if len(classes) > POINT_CAP:
         raise FragmentTooLarge(len(classes), POINT_CAP)
     points = tuple(sorted(classes, key=lambda c: c.text))
-    cols, rows, covers = _divisibility(ring, points)
+    cols, rows, covers = _divisibility(ring, points, divisor_sets)
     return Fragment(ring, points, cols, rows, covers, seeds)
 
 
-def _divisibility(ring: Ring, points: tuple) -> tuple:
-    """Columns, rows and covering pairs of a divisor-closed point list.
+def _divisibility(ring: Ring, points: tuple, divisor_sets: list) -> tuple:
+    """Columns, rows and covering pairs of the union of ``divisor_sets``,
+    listed in ``points``; each set is divisor-closed.
 
     In an atomic domain every proper divisor of v divides v/q for some
     irreducible q dividing v, and a cover is exactly a step v/q -> v.  The
     points are visited by ``sort_key``, whose first entry strictly shrinks
     along proper division, so every irreducible point (atom) and every v/q
-    comes before v; a point no earlier atom divides is an atom itself.
+    comes before v.  Every atom dividing v lies in each divisor set that
+    holds v, so v tries only the atoms of one such set, in the order they
+    were found; a point none of them divides is an atom itself, and joins
+    the list of every set that holds it.
 
     The atoms are tried in order until the first, q_k, divides v; u = v/q_k
     is the one quotient computed by division, and ``times[k][u] = v``
@@ -262,6 +271,13 @@ def _divisibility(ring: Ring, points: tuple) -> tuple:
     """
     n = len(points)
     index = {c.rep: i for i, c in enumerate(points)}
+    # holders[v] lists the divisor sets that hold point v, and set_atoms[s]
+    # the atoms of set s, as indices into atoms, in the order they were found
+    holders = [[] for _ in range(n)]
+    for s, divisors in enumerate(divisor_sets):
+        for c in divisors:
+            holders[index[c.rep]].append(s)
+    set_atoms = [[] for _ in divisor_sets]
     cols = [1 << i for i in range(n)]
     covers = []
     atoms = []
@@ -272,11 +288,14 @@ def _divisibility(ring: Ring, points: tuple) -> tuple:
     steps = [None] * n
     for v in sorted(range(n), key=lambda i: ring.sort_key(points[i].rep)):
         v_rep = points[v].rep
-        for k, q in enumerate(atoms):
-            w = ring.divide(v_rep, q)
+        tried = set_atoms[holders[v][0]]
+        for at, k in enumerate(tried):
+            w = ring.divide(v_rep, atoms[k])
             if w is not None:
                 break
         else:
+            for s in holders[v]:
+                set_atoms[s].append(len(atoms))
             times.append({n: v})
             steps[v] = [(len(atoms), n)]
             atoms.append(v_rep)
@@ -290,7 +309,7 @@ def _divisibility(ring: Ring, points: tuple) -> tuple:
                 step.append((j, first[x]))
         if not ring.is_ufd:
             found = {j for j, _ in step}
-            for j in range(k + 1, len(atoms)):
+            for j in tried[at + 1:]:
                 if j not in found and (w := ring.divide(v_rep, atoms[j])) is not None:
                     step.append((j, index[ring.canonical(w)]))
         steps[v] = step

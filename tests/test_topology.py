@@ -124,8 +124,51 @@ def test_build_divides_once_per_composite_point(monkeypatch, ring, seed):
     calls = []
     divide = ring.divide
     monkeypatch.setattr(ring, "divide", lambda numer, denom: calls.append(1) or divide(numer, denom))
-    _divisibility(ring, points)
+    _divisibility(ring, points, [set(points)])
     assert len(calls) < 2 * len(points)
+
+
+def test_build_divisions_grow_linearly_with_irreducible_seeds(monkeypatch):
+    # 300 monic cubics without a root in F_17, so irreducible: each seed's
+    # own point tries only the atoms of its own divisor set, none of which
+    # were found before it.  The earlier build tried every earlier atom on
+    # each, about n^2 / 2 = 45000 failed divisions
+    F17 = make_ring("fp", 17)
+    cubics = [
+        (c, b, a, 1)
+        for a in range(17)
+        for b in range(17)
+        for c in range(17)
+        if all((x**3 + a * x * x + b * x + c) % 17 for x in range(17))
+    ][:300]
+    seeds = [F17.canonical_class(F17.poly(f)) for f in cubics]
+    calls = []
+    divide = F17.divide
+    monkeypatch.setattr(F17, "divide", lambda numer, denom: calls.append(1) or divide(numer, denom))
+    f = build_fragment(F17, seeds)
+    assert len(f) == len(seeds) == 300 and len(f.isolated()) == 300
+    assert len(calls) < 10 * len(seeds)
+
+
+@pytest.mark.parametrize(
+    "ring, seeds, listed",
+    [
+        (V2, [PPow(2, k) for k in range(1, 65)], [PPow(2, 64)]),
+        (Z, [6, 12, 35, 4, 12, 70], [70, 12]),
+        (S5, [Root5(6, 0), Root5(2, 0), Root5(1, 1), Root5(9, 0)], [Root5(9, 0), Root5(6, 0)]),
+    ],
+)
+def test_build_lists_each_maximal_seed_once(monkeypatch, ring, seeds, listed):
+    # seeds are listed largest first, and a seed already in the union divides
+    # a listed seed, so its divisor classes are not listed again
+    seeds = [ring.canonical_class(s) for s in seeds]
+    union = set().union(*(ring.divisor_classes(s.rep) for s in seeds))
+    calls = []
+    divisor_classes = ring.divisor_classes
+    monkeypatch.setattr(ring, "divisor_classes", lambda a, cap: calls.append(a) or divisor_classes(a, cap))
+    f = build_fragment(ring, seeds)
+    assert calls == listed
+    assert set(f.points) == union and f.seeds == tuple(seeds)
 
 
 def test_build_finds_every_cover_of_zs5_6():
