@@ -39,7 +39,7 @@ class CapabilityMissing(DivtopError):
 
 
 class ParameterError(DivtopError, ValueError):
-    """A ring, check or stream parameter is out of range."""
+    """A ring, check, stream or command-line parameter is out of range."""
 
 
 class SizeGuard(DivtopError):
