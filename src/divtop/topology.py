@@ -271,35 +271,40 @@ def _divisibility(ring: Ring, points: tuple, divisor_sets: list) -> tuple:
     """
     n = len(points)
     index = {c.rep: i for i, c in enumerate(points)}
-    # holders[v] lists the divisor sets that hold point v, and set_atoms[s]
-    # the atoms of set s, as indices into atoms, in the order they were found
-    holders = [[] for _ in range(n)]
-    for s, divisors in enumerate(divisor_sets):
-        for c in divisors:
-            holders[index[c.rep]].append(s)
+    # owner[v] is the first divisor set that holds point v and later[v] lists
+    # the others, so only the sets after the first are walked here;
+    # set_atoms[s] lists the atoms of set s in the order they were found.  An
+    # atom is named by its point index k in times and steps
+    owner, later, seen = [0] * n, {}, set(divisor_sets[0])
+    for s, divisors in enumerate(divisor_sets[1:], 1):
+        for c in divisors - seen:
+            owner[index[c.rep]] = s
+        for c in divisors & seen:
+            later.setdefault(index[c.rep], []).append(s)
+        seen |= divisors
     set_atoms = [[] for _ in divisor_sets]
     cols = [1 << i for i in range(n)]
     covers = []
-    atoms = []
-    # times[k] maps u to the point whose first step is u -> u * atoms[k];
-    # n stands for the unit class, so an atom's own first step is n -> atom
-    times = []
-    # steps[v] lists (k, v / atoms[k]) for every atom dividing v
+    # times[k] maps u to the point whose first step is u -> u * q_k; n stands
+    # for the unit class, so an atom's own first step is n -> atom
+    times = [None] * n
+    # steps[v] lists (k, v / q_k) for every atom q_k dividing v
     steps = [None] * n
     for v in sorted(range(n), key=lambda i: ring.sort_key(points[i].rep)):
         v_rep = points[v].rep
-        tried = set_atoms[holders[v][0]]
-        for at, k in enumerate(tried):
-            w = ring.divide(v_rep, atoms[k])
+        tried = set_atoms[owner[v]]
+        for q in tried:
+            w = ring.divide(v_rep, q)
             if w is not None:
                 break
         else:
-            for s in holders[v]:
-                set_atoms[s].append(len(atoms))
-            times.append({n: v})
-            steps[v] = [(len(atoms), n)]
-            atoms.append(v_rep)
+            tried.append(v_rep)
+            for s in later.get(v, ()):
+                set_atoms[s].append(v_rep)
+            times[v] = {n: v}
+            steps[v] = [(v, n)]
             continue
+        k = index[q]
         u = index[ring.canonical(w)]
         first = times[k]
         first[u] = v
@@ -309,9 +314,9 @@ def _divisibility(ring: Ring, points: tuple, divisor_sets: list) -> tuple:
                 step.append((j, first[x]))
         if not ring.is_ufd:
             found = {j for j, _ in step}
-            for j in tried[at + 1:]:
-                if j not in found and (w := ring.divide(v_rep, atoms[j])) is not None:
-                    step.append((j, index[ring.canonical(w)]))
+            for q in tried[tried.index(q) + 1:]:
+                if index[q] not in found and (w := ring.divide(v_rep, q)) is not None:
+                    step.append((index[q], index[ring.canonical(w)]))
         steps[v] = step
         col = cols[v]
         for _, x in step:

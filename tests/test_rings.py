@@ -360,6 +360,7 @@ def test_fp_factor_guards():
 @pytest.mark.parametrize(
     "tag, p, shown",
     [("fp", 2.0, "a float"), ("valp", 3.0, "a float"), ("fp", True, "a bool"), ("fp", "5", "'5'")],
+    ids=["fp-2.0", "valp-3.0", "fp-True", "fp-5"],
 )
 def test_make_ring_refuses_a_p_that_is_not_an_int(tag, p, shown):
     # 2.0 == 2 and 3.0 == 3 pass the bound and the primality test, so the
