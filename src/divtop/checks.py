@@ -6,10 +6,15 @@ density) or finite witness constructions that follow the relevant
 contradiction or separation argument (T1 failure, non-regularity,
 non-compactness, the strictly growing basic-open chain).  Every entry point
 returns a CheckReport whose contents are deterministic for fixed inputs.
+
+``PROPS`` is the paper's prop table: for each prop, the verdict the paper
+predicts (``expected_verdict``) and the runner that produces its report
+from a ring, the seed classes, a chain length and the seeds' fragment.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional, Sequence
 
@@ -182,30 +187,42 @@ def basis_intersection(ring: Ring, a: ClassId, b: ClassId) -> CheckReport:
     """Intersection of two basic opens: empty, a basic open, or a non-basic
     witness set on rings without gcd."""
     ring.claim(a, b)
-    if not ring.has_gcd:
-        return fragment_intersection(build_fragment(ring, [a]), a, b)
-    inter = ring.divisor_classes(a.rep) & ring.divisor_classes(b.rep)
-    details = {"left": a.text, "right": b.text, "intersection": _texts(inter)}
-    g = ring.gcd_class(a.rep, b.rep)
-    if g is None:
-        details["gcd"] = None
-        ok = not inter
-    else:
-        details["gcd"] = g.text
-        ok = inter == ring.divisor_classes(g.rep)
-    return CheckReport("gcd-intersection", HOLDS if ok else FAILS, () if ok else (a, b), details)
+    return _gcd_intersection(ring, (a, b), 0, lambda: build_fragment(ring, [a]))
 
 
-def fragment_intersection(fragment: Fragment, a: ClassId, b: ClassId) -> CheckReport:
-    """``basis_intersection`` on a ring without gcd, read from a fragment that
-    holds a.  Every member of U_a & U_b divides a, so it is a point here, and
-    the intersection is the points of col(a) that divide b (col(a) & col(b)
-    when b is a point too).  It is basic exactly when one of its points has
-    it as its column."""
-    ring, ua = fragment.ring, fragment.basic_open(a)
-    inter = fragment.point_set(g for g in ua if ring.divides(g.rep, b.rep))
+def _gcd_intersection(ring: Ring, classes: Sequence[ClassId], n: int, fragment) -> CheckReport:
+    """The gcd-intersection prop on U_a & U_b, for seeds a and b.  On a gcd
+    ring, b is a again if there is one seed, and U_a & U_b is U_gcd(a, b), or
+    empty without a gcd; it is read from divisor listings held to
+    ``POINT_CAP``.
+
+    Without gcd it is read from a fragment that holds a.  Every member of
+    U_a & U_b divides a, so it is a point there, and the intersection is the
+    points of col(a) that divide b.  It is basic exactly when one of its
+    points has it as its column.  One seed a: b is the first product q1*q2
+    of two non-associated irreducible divisors, in sort order, whose
+    intersection with a is non-basic (the interesting case such rings exist
+    to show), or a itself when there is none.  If b divides a, U_a & U_b =
+    U_b is basic.  If not, it is not: a generator g would be divisible by q1
+    and q2 and divide b, so g ~ b would divide a.  So b is the first product
+    that is no point of a's fragment, and the verdict below is recomputed."""
+    a, b = classes[0], classes[:2][-1]
+    if ring.has_gcd:
+        inter = ring.divisor_classes(a.rep, POINT_CAP) & ring.divisor_classes(b.rep, POINT_CAP)
+        details = {"left": a.text, "right": b.text, "intersection": _texts(inter)}
+        g = ring.gcd_class(a.rep, b.rep)
+        details["gcd"] = None if g is None else g.text
+        ok = inter == (frozenset() if g is None else ring.divisor_classes(g.rep, POINT_CAP))
+        return CheckReport("gcd-intersection", HOLDS if ok else FAILS, () if ok else (a, b), details)
+    # only a's points are read, and they are in text order in any fragment
+    frag = fragment() if len(classes) <= 2 else build_fragment(ring, classes[:1])
+    if len(classes) == 1:
+        irr = sorted(frag.isolated(), key=ring.class_sort_key)
+        products = (ring.mul_class(q1, q2) for q1, q2 in combinations(irr, 2))
+        b = next((b for b in products if b not in frag), a)
+    inter = frag.point_set(g for g in frag.basic_open(a) if ring.divides(g.rep, b.rep))
     details = {"left": a.text, "right": b.text, "intersection": _texts(inter)}
-    g = next((g for g in inter if fragment.basic_open(g).bits == inter.bits), None)
+    g = next((g for g in inter if frag.basic_open(g).bits == inter.bits), None)
     details["basic"] = g is not None or not inter
     if g is not None:
         details["generator"] = g.text
@@ -331,6 +348,16 @@ def no_disjoint_nbhd_witness(
     )
 
 
+def _sep_nbhd(ring: Ring, classes: Sequence[ClassId], n: int, fragment) -> CheckReport:
+    iso = fragment().isolated().classes()
+    if len(iso) < 3:
+        raise ParameterError(
+            "sep-nbhd needs three non-associated irreducibles; "
+            f"the seed fragment only has {len(iso)}"
+        )
+    return no_disjoint_nbhd_witness(ring, *iso[:3])
+
+
 def non_regular_witness(ring: Ring, a: ClassId) -> CheckReport:
     """{[a]} is not closed: its closure picks up the square."""
     a2 = ring.mul_class(a, a)
@@ -435,3 +462,35 @@ def maximal_basic_open(fragment: Fragment, subfamily: Sequence[ClassId]) -> Chec
             "maximal": [p.text for p in maximal],
         },
     )
+
+
+# ---------------------------------------------------------------------------
+# the prop table
+
+# every prop in help order: (its expected verdict or a function of the ring
+# giving it, its runner (ring, classes, n, fragment)); n is the chain length,
+# fragment() the seeds' fragment, classes[:2][-1] the second seed or the first
+PROPS = {
+    "t0": (HOLDS, lambda ring, cs, n, frag: check_t0(frag())),
+    "t1": (WITNESS, lambda ring, cs, n, frag: t1_failure_witness(ring, cs[0])),
+    "isolated": (HOLDS, lambda ring, cs, n, frag: isolated_points(frag())),
+    "nested": (
+        lambda ring: HOLDS if ring.is_valuation else FAILS,
+        lambda ring, cs, n, frag: check_nested(frag()),
+    ),
+    "gcd-intersection": (lambda ring: HOLDS if ring.has_gcd else WITNESS, _gcd_intersection),
+    "density": (HOLDS, lambda ring, cs, n, frag: density_check(ring, cs)),
+    "dense-open": (HOLDS, lambda ring, cs, n, frag: dense_open_check(frag())),
+    "ultra": (WITNESS, lambda ring, cs, n, frag: ultraconnected_witness(ring, cs[0], cs[:2][-1])),
+    "sep-nbhd": (WITNESS, _sep_nbhd),
+    "regular": (WITNESS, lambda ring, cs, n, frag: non_regular_witness(ring, cs[0])),
+    "compact": (WITNESS, lambda ring, cs, n, frag: non_compact_witness(ring, cs[0], cs)),
+    "chain": (WITNESS, lambda ring, cs, n, frag: noetherian_chain(ring, cs[0], n)),
+    "maximal": (WITNESS, lambda ring, cs, n, frag: maximal_basic_open(frag(), cs)),
+}
+
+
+def expected_verdict(prop: str, ring: Ring) -> str:
+    """The verdict the paper predicts for ``prop`` on ``ring``."""
+    verdict = PROPS[prop][0]
+    return verdict(ring) if callable(verdict) else verdict

@@ -1,5 +1,8 @@
 """Command-line front end: fragments, theorem checks, and the prime stream.
 
+It parses arguments and prints reports only; the props ``check`` runs, and
+the verdict each is expected to give, come from the table ``checks.PROPS``.
+
 Exit codes: 0 on success (for ``check``: every verdict matches the expected
 outcome for the chosen ring), 1 when a check verdict differs from the
 expected one (a bug signal), 2 on usage, parse, or guard errors.
@@ -10,11 +13,9 @@ from __future__ import annotations
 import argparse
 import sys
 from functools import cache
-from itertools import combinations
 from typing import List, Optional
 
-from . import checks as C
-from .checks import FAILS, HOLDS, WITNESS, CheckReport
+from .checks import PROPS, expected_verdict
 from .errors import DivtopError, ParameterError, brief
 from .formats import (
     fragment_to_dot,
@@ -39,71 +40,6 @@ def _seed_classes(ring: Ring, seeds: str) -> list:
             raise ParameterError("empty seed in --seeds")
         out.append(ring.canonical_class(ring.parse(chunk)))
     return out
-
-
-def _intersection_report(ring: Ring, classes: list, fragment) -> CheckReport:
-    """Report for the gcd-intersection prop.
-
-    Two or more seeds: the first two.  One seed on a gcd ring: the seed with
-    itself.  One seed a without gcd: the first product b = q1*q2 of two
-    non-associated irreducible divisors, in sort order, whose intersection
-    with a is non-basic (the interesting case such rings exist to show), or
-    a itself when there is none.  If b divides a, U_a & U_b = U_b is basic.
-    If not, it is not: a generator g would be divisible by q1 and q2 and
-    divide b, so g ~ b would divide a.  So b is the first product that is no
-    point of a's fragment, and the report below recomputes the verdict."""
-    a, b = classes[0], classes[:2][-1]
-    if ring.has_gcd:
-        return C.basis_intersection(ring, a, b)
-    # a Z[sqrt(-5)] norm <= 10^8 has at most 1440 ideal divisors (found by a scan), so
-    # a fragment of two seeds stays under POINT_CAP; more seeds might not
-    frag = fragment() if len(classes) <= 2 else build_fragment(ring, classes[:2])
-    if len(classes) == 1:
-        irr = sorted(frag.isolated(), key=ring.class_sort_key)
-        products = (ring.mul_class(q1, q2) for q1, q2 in combinations(irr, 2))
-        b = next((b for b in products if b not in frag), a)
-    return C.fragment_intersection(frag, a, b)
-
-
-def _sep_nbhd_report(ring: Ring, classes: list, n: int, fragment) -> CheckReport:
-    iso = fragment().isolated().classes()
-    if len(iso) < 3:
-        raise ParameterError(
-            "sep-nbhd needs three non-associated irreducibles; "
-            f"the seed fragment only has {len(iso)}"
-        )
-    return C.no_disjoint_nbhd_witness(ring, *iso[:3])
-
-
-# every prop in help order: (its expected verdict or a function of the ring
-# giving it, its runner (ring, classes, n, fragment)); n is the chain length,
-# fragment() the seeds' fragment, classes[:2][-1] the second seed or the first
-PROPS = {
-    "t0": (HOLDS, lambda ring, cs, n, frag: C.check_t0(frag())),
-    "t1": (WITNESS, lambda ring, cs, n, frag: C.t1_failure_witness(ring, cs[0])),
-    "isolated": (HOLDS, lambda ring, cs, n, frag: C.isolated_points(frag())),
-    "nested": (
-        lambda ring: HOLDS if ring.is_valuation else FAILS,
-        lambda ring, cs, n, frag: C.check_nested(frag()),
-    ),
-    "gcd-intersection": (
-        lambda ring: HOLDS if ring.has_gcd else WITNESS,
-        lambda ring, cs, n, frag: _intersection_report(ring, cs, frag),
-    ),
-    "density": (HOLDS, lambda ring, cs, n, frag: C.density_check(ring, cs)),
-    "dense-open": (HOLDS, lambda ring, cs, n, frag: C.dense_open_check(frag())),
-    "ultra": (WITNESS, lambda ring, cs, n, frag: C.ultraconnected_witness(ring, cs[0], cs[:2][-1])),
-    "sep-nbhd": (WITNESS, _sep_nbhd_report),
-    "regular": (WITNESS, lambda ring, cs, n, frag: C.non_regular_witness(ring, cs[0])),
-    "compact": (WITNESS, lambda ring, cs, n, frag: C.non_compact_witness(ring, cs[0], cs)),
-    "chain": (WITNESS, lambda ring, cs, n, frag: C.noetherian_chain(ring, cs[0], n)),
-    "maximal": (WITNESS, lambda ring, cs, n, frag: C.maximal_basic_open(frag(), cs)),
-}
-
-
-def expected_verdict(prop: str, ring: Ring) -> str:
-    verdict = PROPS[prop][0]
-    return verdict(ring) if callable(verdict) else verdict
 
 
 def cmd_fragment(ring: Ring, args) -> int:

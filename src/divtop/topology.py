@@ -229,7 +229,8 @@ def build_fragment(ring: Ring, seeds: Iterable[ClassId]) -> Fragment:
         raise EmptyFamily("at least one seed class is needed")
     ring.claim(*seeds)
     # each seed's divisor classes (its own among them) are part of the
-    # fragment, so the ring can refuse an over-cap seed before it lists them.
+    # fragment, so the ring can refuse an over-cap seed before it lists them,
+    # and the union is refused at the first seed that takes it past the cap.
     # Largest first: a seed already in the union divides a listed seed, whose
     # divisor classes hold its own, so it is not listed again
     classes = set()
@@ -238,8 +239,8 @@ def build_fragment(ring: Ring, seeds: Iterable[ClassId]) -> Fragment:
         if s not in classes:
             divisor_sets.append(ring.divisor_classes(s.rep, POINT_CAP))
             classes |= divisor_sets[-1]
-    if len(classes) > POINT_CAP:
-        raise FragmentTooLarge(len(classes), POINT_CAP)
+            if len(classes) > POINT_CAP:
+                raise FragmentTooLarge(len(classes), POINT_CAP)
     points = tuple(sorted(classes, key=lambda c: c.text))
     cols, rows, covers = _divisibility(ring, points, divisor_sets)
     return Fragment(ring, points, cols, rows, covers, seeds)

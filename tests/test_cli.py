@@ -1,11 +1,11 @@
 """CLI behavior: outputs, exit codes, determinism."""
 
 import ast
-import hashlib
 import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import divtop
-from divtop import cli, primes, rings, topology
+from divtop import checks, cli, primes, rings, topology
 from divtop.cli import main
 from divtop.formats import report_to_json
 from divtop.intarith import RHO_BUDGET
@@ -149,7 +149,7 @@ def test_check_witness_props(capsys):
 )
 def test_every_prop_in_one_call_reports_in_table_order(capsys, ring_args):
     # valp has a single irreducible, too few for sep-nbhd
-    props = [p for p in cli.PROPS if not (ring_args[1] == "valp" and p == "sep-nbhd")]
+    props = [p for p in checks.PROPS if not (ring_args[1] == "valp" and p == "sep-nbhd")]
     code, out, err = run(capsys, "check", *ring_args, "--props", ",".join(props))
     assert code == 0 and err == ""
     assert [json.loads(line)["check"] for line in out.splitlines()] == props
@@ -158,7 +158,7 @@ def test_every_prop_in_one_call_reports_in_table_order(capsys, ring_args):
 def test_readme_lists_the_props_and_rings_in_table_order():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     props = re.search(r"Available props for `check`:\s*`([^`]*)`", readme).group(1)
-    assert [p.strip() for p in props.split(",")] == list(cli.PROPS)
+    assert [p.strip() for p in props.split(",")] == list(checks.PROPS)
     assert re.findall(r"^\| `(\w+)`", readme, re.MULTILINE) == list(rings.RING_TAGS)
     # the gcd, valuation, UFD and units columns state each class's attributes
     yes = {True: "yes", False: "no"}
@@ -200,6 +200,7 @@ def test_readme_guards_state_the_constants():
         r"An `fp` text past degree (\S+) ": fp.DEG_MAX,
         r"a `valp` exponent past (\S+),": valp.K_MAX,
         r"takes `--n` ≤ (\S+),": topology.POINT_CAP,
+        r"each held to the same (\S+)-point cap": topology.POINT_CAP,
     }
     guards = _guards_section()
     for pattern, value in claims.items():
@@ -221,6 +222,36 @@ def test_readme_guards_quote_the_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert f"(`{err.strip()}`" in _guards_section()
+
+
+def _readme_block(heading, lang=""):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return readme.split(f"\n## {heading}\n")[1].split(f"```{lang}\n")[1].split("```")[0]
+
+
+def test_readme_cli_examples_exit_0(capsys):
+    lines = [line for line in _readme_block("CLI").splitlines() if line.startswith("divtop ")]
+    assert len(lines) == 7
+    for line in lines:
+        code, out, err = run(capsys, *shlex.split(line.partition("#")[0])[1:])
+        assert (code, err) == (0, "") and out, line
+
+
+def test_readme_quick_start_runs_and_matches_its_comments():
+    # a comment holds the value of the expression on its line, or on the
+    # line above when it stands alone
+    namespace, value, checked = {}, None, 0
+    for line in _readme_block("Library quick start", "python").splitlines():
+        code, _, comment = line.partition("#")
+        if code.strip():
+            try:
+                value = eval(compile(code, "README.md", "eval"), namespace)
+            except SyntaxError:
+                exec(code, namespace)
+        if comment.strip():
+            assert value == ast.literal_eval(comment.strip()), line
+            checked += 1
+    assert checked == 5
 
 
 def test_check_sep_nbhd_needs_three_irreducibles(capsys):
@@ -508,13 +539,20 @@ def test_chain_length_is_refused_before_the_powers_are_built():
     ],
 )
 def test_check_builds_the_seed_fragment_once(capsys, monkeypatch, ring, seeds, props, builds):
+    # a build of the seeds or of some of them counts, in the CLI or in a
+    # runner of the prop table; t1 and chain build fragments of powers
+    r = rings.make_ring(ring)
+    texts = {r.canonical_class(r.parse(t)).text for t in seeds.split(",")}
     calls = []
 
     def counted(ring, seeds):
-        calls.append(seeds)
+        seeds = list(seeds)
+        if {c.text for c in seeds} <= texts:
+            calls.append(seeds)
         return build_fragment(ring, seeds)
 
     monkeypatch.setattr(cli, "build_fragment", counted)
+    monkeypatch.setattr(checks, "build_fragment", counted)
     code, _, _ = run(capsys, "check", "--ring", ring, "--seeds", seeds, "--props", props)
     assert code == 0
     assert len(calls) == builds
@@ -644,7 +682,8 @@ def test_importing_the_cli_builds_no_parser():
 @settings(max_examples=100, deadline=None)
 def test_gcd_intersection_matches_frozenset_oracles(ring_seeds):
     ring, classes = ring_seeds
-    report = cli._intersection_report(ring, classes, cache(lambda: build_fragment(ring, classes)))
+    runner = checks.PROPS["gcd-intersection"][1]
+    report = runner(ring, classes, 0, cache(lambda: build_fragment(ring, classes)))
     want = basis_intersection_oracle(ring, *intersection_pair_oracle(ring, classes))
     assert report_to_json(report) == report_to_json(want)
 
@@ -683,22 +722,28 @@ def test_zs5_partner_search_enumerates_divisors_once(capsys, monkeypatch, seed):
 
 
 @pytest.mark.parametrize(
-    "seeds, digest",
+    "ring, seeds, points",
     [
-        # 6719 points: over the fragment cap, so gcd rings stay off the fragment
-        ("963761198400", "5c1bc6e06357f9793996230a21092fd4beee816d721a168be4ac8a7ff2d8c2d1"),
-        ("963761198400,12", hashlib.sha256(
-            b'{"check":"gcd-intersection","verdict":"holds","witnesses":[],"details":'
-            b'{"left":"963761198400","right":"12","intersection":["12","2","3","4","6"],'
-            b'"gcd":"12"}}\n').hexdigest()),
+        ("z", "963761198400", 6719),
+        ("z", "963761198400,12", 6719),
+        ("gauss", "486122650", 27647),
     ],
+    ids=["z", "z-two-seeds", "gauss"],
 )
-def test_gcd_ring_intersection_past_the_fragment_cap(capsys, seeds, digest):
-    code, out, err = run(
-        capsys, "check", "--ring", "z", "--seeds", seeds, "--props", "gcd-intersection"
-    )
-    assert code == 0 and err == ""
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+def test_gcd_ring_intersection_is_held_to_the_point_cap(capsys, ring, seeds, points):
+    # gcd rings list divisor classes without a fragment, under the same cap
+    for props in ("gcd-intersection", "t0"):
+        code, out, err = run(capsys, "check", "--ring", ring, "--seeds", seeds, "--props", props)
+        assert (code, out, err) == (2, "", f"error: {points} points exceeds the cap 4096\n")
+
+
+def test_gcd_ring_intersection_lists_two_seeds_not_the_fragment(capsys):
+    # 2303 divisor classes each, 4607 in the union of all three seeds
+    argv = ("check", "--ring", "z", "--seeds", "23524300800,26291865600,31826995200")
+    assert run(capsys, *argv, "--props", "t0") == (2, "", "error: 4607 points exceeds the cap 4096\n")
+    code, out, err = run(capsys, *argv, "--props", "gcd-intersection")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["details"]["gcd"] == "1383782400"
 
 
 # ---------------------------------------------------------------------------
@@ -741,7 +786,7 @@ def argvs(draw):
     elif draw(st.booleans()):
         argv.append(f"--start={seeds}")
     if command == "check":
-        props = list(cli.PROPS) + (["", "bogus", "x" * 5000] if hostile else [])
+        props = list(checks.PROPS) + (["", "bogus", "x" * 5000] if hostile else [])
         argv.append("--props=" + ",".join(draw(st.lists(st.sampled_from(props), min_size=1, max_size=4))))
     length = st.one_of(st.sampled_from([0, 1, 2, 4096, 4097]), st.integers(-3, 40))
     if command == "check" and draw(st.booleans()):

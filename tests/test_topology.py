@@ -282,6 +282,21 @@ def test_union_of_under_cap_seeds_is_refused():
         build_fragment(Z, seeds)
 
 
+def test_union_is_refused_at_the_first_seed_past_the_cap(monkeypatch):
+    from divtop.errors import FragmentTooLarge
+    from divtop.intarith import is_prime
+
+    # 43243200*q, q a prime > 13, has 1343 classes; any two share the 671 of
+    # 43243200, so k seeds list 671 + 672*k, past the cap at the sixth
+    seeds = [Z.canonical_class(43243200 * q) for q in range(17, 3000) if is_prime(q)][:200]
+    calls = []
+    divisor_classes = Z.divisor_classes
+    monkeypatch.setattr(Z, "divisor_classes", lambda a, cap: calls.append(a) or divisor_classes(a, cap))
+    with pytest.raises(FragmentTooLarge, match="^4703 points exceeds the cap 4096$"):
+        build_fragment(Z, seeds)
+    assert len(calls) == 6
+
+
 def test_fragment_is_divisor_closed():
     rng = random.Random(5)
     for f in sample_fragments(rng, per_ring=3):
