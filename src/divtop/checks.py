@@ -25,8 +25,10 @@ from .errors import (
     NotIrreducible,
     ParameterError,
 )
-from .rings import ClassId, Ring
-from .topology import DENSE_OPEN_CAP, ENUM_CAP, POINT_CAP, Fragment, PointSet, build_fragment
+from .rings import POINT_CAP, ClassId, Ring
+from .topology import ENUM_CAP, Fragment, PointSet, build_fragment
+
+DENSE_OPEN_CAP = 12
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -208,11 +210,11 @@ def _gcd_intersection(ring: Ring, classes: Sequence[ClassId], n: int, fragment) 
     that is no point of a's fragment, and the verdict below is recomputed."""
     a, b = classes[0], classes[:2][-1]
     if ring.has_gcd:
-        inter = ring.divisor_classes(a.rep, POINT_CAP) & ring.divisor_classes(b.rep, POINT_CAP)
+        inter = ring.divisor_classes(a.rep) & ring.divisor_classes(b.rep)
         details = {"left": a.text, "right": b.text, "intersection": _texts(inter)}
         g = ring.gcd_class(a.rep, b.rep)
         details["gcd"] = None if g is None else g.text
-        ok = inter == (frozenset() if g is None else ring.divisor_classes(g.rep, POINT_CAP))
+        ok = inter == (frozenset() if g is None else ring.divisor_classes(g.rep))
         return CheckReport("gcd-intersection", HOLDS if ok else FAILS, () if ok else (a, b), details)
     # only a's points are read, and they are in text order in any fragment
     frag = fragment() if len(classes) <= 2 else build_fragment(ring, classes[:1])
@@ -424,7 +426,7 @@ def noetherian_chain(ring: Ring, a: ClassId, n: int) -> CheckReport:
     for k in range(2, n + 1):
         powers.append(ring.mul_class(powers[-1], a))
         if k & (k - 1) == 0 and 2 * k <= n:
-            ring.divisor_classes(powers[-1].rep, POINT_CAP)
+            ring.divisor_classes(powers[-1].rep)
     fragment = build_fragment(ring, [powers[-1]])
     sizes = [len(fragment.basic_open(p)) for p in powers]
     strict = all(s < t for s, t in zip(sizes, sizes[1:]))

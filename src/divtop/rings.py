@@ -42,6 +42,9 @@ from .errors import (
 )
 from .intarith import factor, is_prime, sqrt_minus_one
 
+# most divisor classes one listing, and so one fragment, may hold
+POINT_CAP = 4096
+
 # ---------------------------------------------------------------------------
 # element value types
 
@@ -276,19 +279,19 @@ class Ring:
         """Canonical irreducible factors of a, with multiplicity."""
         raise NotImplementedError
 
-    def _divisor_reps(self, a, cap: Optional[int] = None) -> set:
+    def _divisor_reps(self, a) -> set:
         """Canonical reps of every non-unit divisor class of a.
 
         In a UFD these are the products of sub-multisets of a's irreducible
         factors, so their number, prod(e + 1) - 1 over the factor exponents,
-        is known first, and more than ``cap`` raise before any is built.
-        Rings without unique factorization may ignore ``cap``."""
+        is known first, and more than ``POINT_CAP`` raise before any is
+        built.  Rings without unique factorization list them all."""
         counts = {}
         for f in self._factor_reps(a):
             counts[f] = counts.get(f, 0) + 1
         total = math.prod(e + 1 for e in counts.values()) - 1
-        if cap is not None and total > cap:
-            raise FragmentTooLarge(total, cap)
+        if total > POINT_CAP:
+            raise FragmentTooLarge(total, POINT_CAP)
         divs = [self.one()]
         for f, e in counts.items():
             step = []
@@ -336,14 +339,14 @@ class Ring:
             raise ZeroDivisor(f"zero divides nothing in {self.name}")
         return self.divide(b, a) is not None
 
-    def divisor_classes(self, a, cap: Optional[int] = None) -> frozenset:
+    def divisor_classes(self, a) -> frozenset:
         """Every non-unit divisor class of a, a's own included.  More than
-        ``cap`` of them raise ``FragmentTooLarge``; in a UFD that happens
-        before they are listed."""
+        ``POINT_CAP`` of them raise ``FragmentTooLarge``; in a UFD that
+        happens before they are listed."""
         self._require_operand(a)
-        reps = self._divisor_reps(a, cap)
-        if cap is not None and len(reps) > cap:
-            raise FragmentTooLarge(len(reps), cap)
+        reps = self._divisor_reps(a)
+        if len(reps) > POINT_CAP:
+            raise FragmentTooLarge(len(reps), POINT_CAP)
         return frozenset(self._class(r) for r in reps)
 
     def is_irreducible(self, a) -> bool:
@@ -457,9 +460,9 @@ class IntegerRing(Ring):
             out.extend([p] * e)
         return tuple(out)
 
-    def _divisor_reps(self, a, cap=None):
+    def _divisor_reps(self, a):
         self._guard(a, self.ENUM_MAX)
-        return super()._divisor_reps(a, cap)
+        return super()._divisor_reps(a)
 
     def _irreducible(self, a) -> bool:
         self._guard(a, self.VALUE_MAX)
@@ -794,7 +797,7 @@ class RootMinus5Ring(Ring):
                 out.append((x, y))
         return out
 
-    def _divisor_reps(self, a, cap=None):
+    def _divisor_reps(self, a):
         self._guard_norm(a)
         n = a.norm
         divs = [1]

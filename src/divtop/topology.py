@@ -19,11 +19,9 @@ from .errors import (
     FragmentTooLargeForEnumeration,
     PointNotInFragment,
 )
-from .rings import ClassId, Ring
+from .rings import POINT_CAP, ClassId, Ring
 
-POINT_CAP = 4096
 ENUM_CAP = 20
-DENSE_OPEN_CAP = 12
 
 
 class PointSet:
@@ -237,7 +235,7 @@ def build_fragment(ring: Ring, seeds: Iterable[ClassId]) -> Fragment:
     divisor_sets = []
     for s in sorted(seeds, key=ring.class_sort_key, reverse=True):
         if s not in classes:
-            divisor_sets.append(ring.divisor_classes(s.rep, POINT_CAP))
+            divisor_sets.append(ring.divisor_classes(s.rep))
             classes |= divisor_sets[-1]
             if len(classes) > POINT_CAP:
                 raise FragmentTooLarge(len(classes), POINT_CAP)
@@ -252,78 +250,74 @@ def _divisibility(ring: Ring, points: tuple, divisor_sets: list) -> tuple:
 
     In an atomic domain every proper divisor of v divides v/q for some
     irreducible q dividing v, and a cover is exactly a step v/q -> v.  The
-    points are visited by ``sort_key``, whose first entry strictly shrinks
-    along proper division, so every irreducible point (atom) and every v/q
-    comes before v.  Every atom dividing v lies in each divisor set that
-    holds v, so v tries only the atoms of one such set, in the order they
-    were found; a point none of them divides is an atom itself, and joins
-    the list of every set that holds it.
+    sets are walked in order, and the points of a set not walked before go
+    by ``sort_key``, whose first entry strictly shrinks along proper
+    division, so every irreducible point (atom) and every v/q is walked
+    before v.  Every atom dividing v lies in the set being walked, so v
+    tries only that set's atoms: first those found in earlier sets, then
+    those found in this one, which is the order they were all found in.  A
+    point none of them divides is an atom itself.
 
     The atoms are tried in order until the first, q_k, divides v; u = v/q_k
     is the one quotient computed by division, and ``times[k][u] = v``
     records that first step.  Every other atom q dividing u gives
     v/q = (u/q)*q_k, an earlier point whose first atom is q_k too (it divides
-    v, and q_k divides it), so it is read from ``times[k]``.  In a UFD an
-    atom is prime, so q | v means q | u or q ~ q_k and nothing is left to
-    find: a composite point costs one successful division plus the failed
-    trials before it.  Without unique factorization an atom after q_k can
-    divide v and neither factor (2 divides 6 = (1+s)(1-s) in Z[sqrt(-5)]),
-    so the atoms not found yet are still tried by division.
+    v, and q_k divides it, and every set tries its atoms in the one order
+    they were found in), so it is read from ``times[k]``.  In a UFD an atom
+    is prime, so q | v means q | u or q ~ q_k and nothing is left to find: a
+    composite point costs one successful division plus the failed trials
+    before it.  Without unique factorization an atom after q_k can divide v
+    and neither factor (2 divides 6 = (1+s)(1-s) in Z[sqrt(-5)]), so the
+    atoms not found yet are still tried by division.
     """
     n = len(points)
     index = {c.rep: i for i, c in enumerate(points)}
-    # owner[v] is the first divisor set that holds point v and later[v] lists
-    # the others, so only the sets after the first are walked here;
-    # set_atoms[s] lists the atoms of set s in the order they were found.  An
-    # atom is named by its point index k in times and steps
-    owner, later, seen = [0] * n, {}, set(divisor_sets[0])
-    for s, divisors in enumerate(divisor_sets[1:], 1):
-        for c in divisors - seen:
-            owner[index[c.rep]] = s
-        for c in divisors & seen:
-            later.setdefault(index[c.rep], []).append(s)
-        seen |= divisors
-    set_atoms = [[] for _ in divisor_sets]
+    # rank[k] orders atom k (named by its point index, as in times and
+    # steps) among the atoms found so far
+    rank = {}
     cols = [1 << i for i in range(n)]
     covers = []
     # times[k] maps u to the point whose first step is u -> u * q_k; n stands
     # for the unit class, so an atom's own first step is n -> atom
     times = [None] * n
-    # steps[v] lists (k, v / q_k) for every atom q_k dividing v
+    # steps[v] lists (k, v / q_k) for every atom q_k dividing v; None until
+    # v is walked
     steps = [None] * n
-    for v in sorted(range(n), key=lambda i: ring.sort_key(points[i].rep)):
-        v_rep = points[v].rep
-        tried = set_atoms[owner[v]]
-        for q in tried:
-            w = ring.divide(v_rep, q)
-            if w is not None:
-                break
-        else:
-            tried.append(v_rep)
-            for s in later.get(v, ()):
-                set_atoms[s].append(v_rep)
-            times[v] = {n: v}
-            steps[v] = [(v, n)]
-            continue
-        k = index[q]
-        u = index[ring.canonical(w)]
-        first = times[k]
-        first[u] = v
-        step = [(k, u)]
-        for j, x in steps[u]:
-            if j != k:
-                step.append((j, first[x]))
-        if not ring.is_ufd:
-            found = {j for j, _ in step}
-            for q in tried[tried.index(q) + 1:]:
-                if index[q] not in found and (w := ring.divide(v_rep, q)) is not None:
-                    step.append((index[q], index[ring.canonical(w)]))
-        steps[v] = step
-        col = cols[v]
-        for _, x in step:
-            covers.append((x, v))
-            col |= cols[x]
-        cols[v] = col
+    for divisors in divisor_sets:
+        members = [index[c.rep] for c in divisors]
+        tried = [points[k].rep for k in sorted((k for k in members if k in rank), key=rank.get)]
+        fresh = (v for v in members if steps[v] is None)
+        for v in sorted(fresh, key=lambda i: ring.sort_key(points[i].rep)):
+            v_rep = points[v].rep
+            for q in tried:
+                w = ring.divide(v_rep, q)
+                if w is not None:
+                    break
+            else:
+                tried.append(v_rep)
+                rank[v] = len(rank)
+                times[v] = {n: v}
+                steps[v] = [(v, n)]
+                continue
+            k = index[q]
+            u = index[ring.canonical(w)]
+            first = times[k]
+            first[u] = v
+            step = [(k, u)]
+            for j, x in steps[u]:
+                if j != k:
+                    step.append((j, first[x]))
+            if not ring.is_ufd:
+                found = {j for j, _ in step}
+                for q in tried[tried.index(q) + 1:]:
+                    if index[q] not in found and (w := ring.divide(v_rep, q)) is not None:
+                        step.append((index[q], index[ring.canonical(w)]))
+            steps[v] = step
+            col = cols[v]
+            for _, x in step:
+                covers.append((x, v))
+                col |= cols[x]
+            cols[v] = col
     # the covers into v are recorded before every cover out of v, so walking
     # the list backwards completes rows[v] before it is merged into rows[u]
     rows = [1 << i for i in range(n)]

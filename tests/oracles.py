@@ -12,10 +12,11 @@ that the gauss quadrant rotation replaced.  The gcd-intersection partner
 search and its frozenset intersection are the earlier versions of the
 fragment-column search, and the irreducible-step oracle, which divides each
 point by every earlier irreducible point, is the earlier build of the
-quotient-table build.
+quotient-table build.  The exponent-box oracle calls no ring at all: it
+reads a UFD fragment off the componentwise order on exponent vectors.
 """
 
-from itertools import combinations
+from itertools import combinations, product
 from math import isqrt
 
 from sympy.polys.domains import ZZ
@@ -232,6 +233,31 @@ def irreducible_step_oracle(ring, points) -> tuple:
     rows = [1 << i for i in range(len(points))]
     for u, v in reversed(covers):
         rows[u] |= rows[v]
+    return tuple(cols), tuple(rows), tuple(sorted(covers))
+
+
+def exponent_boxes(tops) -> set:
+    """Every nonzero exponent vector lying componentwise below one of
+    ``tops``: in a UFD, the divisor classes of the seeds prod q_i^f_i."""
+    return {g for f in tops for g in product(*(range(k + 1) for k in f)) if any(g)}
+
+
+def exponent_order_oracle(vectors) -> tuple:
+    """Columns, rows and sorted covering pairs of the componentwise order on
+    ``vectors``, a down-closed set in point order.  A point's column is its
+    sub-box, and it covers the points one below it in one place."""
+    index = {g: i for i, g in enumerate(vectors)}
+    n = len(vectors)
+    cols, rows, covers = [0] * n, [0] * n, []
+    for j, g in enumerate(vectors):
+        for d in product(*(range(k + 1) for k in g)):
+            if any(d):
+                cols[j] |= 1 << index[d]
+                rows[index[d]] |= 1 << j
+        for t, k in enumerate(g):
+            d = g[:t] + (k - 1,) + g[t + 1:]
+            if k and any(d):
+                covers.append((index[d], j))
     return tuple(cols), tuple(rows), tuple(sorted(covers))
 
 

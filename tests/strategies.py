@@ -8,6 +8,7 @@ Z = make_ring("z")
 G = make_ring("gauss")
 F2 = make_ring("fp", 2)
 F3 = make_ring("fp", 3)
+F5 = make_ring("fp", 5)
 S5 = make_ring("zs5")
 V3 = make_ring("valp", 3)
 
@@ -64,3 +65,29 @@ RING_SEEDS = st.one_of(
         for ring, elems in ELEMENTS.items()
     )
 )
+
+# pairwise non-associated irreducibles of the four UFD rings, some of them
+# not canonical; any four to the fifth power stay inside the z and gauss
+# guards
+UFD_ATOMS = {
+    Z: [2, -3, 5, 7],
+    G: [Gauss(1, 1), Gauss(-1, 2), Gauss(1, 2), Gauss(0, 3), Gauss(3, 2)],
+    F2: [F2.parse(t) for t in ("x", "x+1", "x^2+x+1", "x^3+x+1")],
+    F5: [F5.parse(t) for t in ("x", "x+1", "2x+1", "x^2+2")],
+    V3: [V3.element(1)],
+}
+
+
+@st.composite
+def ufd_boxes(draw):
+    """(ring, atoms, tops): m <= 4 irreducibles of a UFD ring, one on valp,
+    and one to three nonzero exponent vectors of length m with entries up to
+    5, each naming the seed prod q_i^f_i.  On fp the entries are held down so
+    that no seed passes the degree guard."""
+    ring = draw(st.sampled_from(list(UFD_ATOMS)))
+    m = draw(st.integers(1, min(4, len(UFD_ATOMS[ring]))))
+    atoms = draw(st.permutations(UFD_ATOMS[ring]))[:m]
+    top = 5 if ring.tag != "fp" else min(5, ring.DEG_MAX // sum(q.degree for q in atoms))
+    # the zero vector names a unit, so it stands for the vector of ones
+    vector = st.tuples(*[st.integers(0, top)] * m).map(lambda g: g if any(g) else (1,) * m)
+    return ring, atoms, draw(st.lists(vector, min_size=1, max_size=3))

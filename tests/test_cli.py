@@ -188,7 +188,7 @@ def test_readme_guards_state_the_constants():
     claims = {
         r"Fragments are capped at (\S+) points": topology.POINT_CAP,
         r"open-set enumeration at (\S+) points": topology.ENUM_CAP,
-        r"\(the dense-open check at (\S+)\)": topology.DENSE_OPEN_CAP,
+        r"\(the dense-open check at (\S+)\)": checks.DENSE_OPEN_CAP,
         r"refuses integers beyond (\S+),": rings.IntegerRing.ENUM_MAX,
         r"`fp` polynomials beyond degree (\S+),": fp.DEG_MAX,
         r"`zs5` norms beyond (\S+);": rings.RootMinus5Ring.NORM_MAX,
@@ -524,6 +524,37 @@ def test_chain_length_is_refused_before_the_powers_are_built():
     )
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == "error: chain length must be <= 4096\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "--ring", "zs5", "--seeds", "6,2+2s,9", "--props", ",".join(checks.PROPS)),
+        ("check", "--ring", "z", "--seeds", "12,18,35", "--props", ",".join(checks.PROPS)),
+        ("fragment", "--ring", "gauss", "--seeds", "60,7+1i", "--out", "dot"),
+        ("check", "--ring", "fp", "--p", "3", "--seeds", "x^4+x,x^3+2",
+         "--props", "t0,isolated,nested,gcd-intersection,sep-nbhd,maximal"),
+        ("primes", "--ring", "gauss", "--count", "4"),
+    ],
+    ids=["zs5", "z", "gauss-dot", "fp", "primes"],
+)
+def test_output_does_not_follow_the_hash_seed(argv):
+    # the build walks frozensets of classes, whose order follows the hash
+    # seed, so each run is a fresh interpreter under a different seed
+    code = "import sys; from divtop.cli import main; sys.exit(main(sys.argv[1:]))"
+    runs = []
+    for hash_seed in ("0", "1"):
+        env = {
+            **os.environ,
+            "PYTHONPATH": str(Path(divtop.__file__).parents[1]),
+            "PYTHONHASHSEED": hash_seed,
+        }
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=30
+        )
+        runs.append((proc.returncode, proc.stdout, proc.stderr))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0 and runs[0][1], runs[0][2]
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 import math
 import random
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,7 +22,8 @@ from divtop.errors import (
     ZeroDivisor,
     ZeroElement,
 )
-from divtop.rings import RING_TAGS, RINGS, Gauss, PPow, Root5, make_ring
+from divtop import rings
+from divtop.rings import RING_TAGS, RINGS, Gauss, PPow, Ring, Root5, make_ring
 from divtop.topology import build_fragment
 
 from oracles import (
@@ -223,9 +225,27 @@ def test_divisor_classes_against_oracle(ring_elem):
     ring, e = ring_elem
     want = divisor_classes_oracle(ring, e)
     assert ring.divisor_classes(e) == want, (ring.name, e)
-    assert ring.divisor_classes(e, cap=len(want)) == want
-    with pytest.raises(FragmentTooLarge, match=f"^{len(want)} points exceeds the cap"):
-        ring.divisor_classes(e, cap=len(want) - 1)
+    # the cap is a ring rule, so both sides of it are reached by moving it
+    with mock.patch.object(rings, "POINT_CAP", len(want)):
+        assert ring.divisor_classes(e) == want
+    with mock.patch.object(rings, "POINT_CAP", len(want) - 1):
+        with pytest.raises(FragmentTooLarge, match=f"^{len(want)} points exceeds the cap"):
+            ring.divisor_classes(e)
+
+
+def test_over_cap_listing_is_refused_before_any_class_is_made(monkeypatch):
+    # every listing is held to the cap, a library call without a fragment
+    # too; in a UFD the count follows from the factor exponents, and the
+    # enumeration starts from one(), which factoring never calls
+    ring = make_ring("gauss")
+    started = []
+    one = type(ring).one
+    monkeypatch.setattr(type(ring), "one", lambda self: started.append(1) or one(self))
+    make = Ring._class
+    monkeypatch.setattr(Ring, "_class", lambda self, rep: started.append(rep) or make(self, rep))
+    with pytest.raises(FragmentTooLarge, match="^5183 points exceeds the cap 4096$"):
+        ring.divisor_classes(Gauss(-5323500, -5323500))
+    assert started == []
 
 
 def test_divisor_classes_targeted_hard_cases():

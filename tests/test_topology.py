@@ -1,5 +1,6 @@
 """Fragment construction and subspace topology, with enumeration oracles."""
 
+import math
 import random
 
 import pytest
@@ -20,10 +21,12 @@ from oracles import (
     covering_pairs_oracle,
     divisibility_oracle,
     down_sets_oracle,
+    exponent_boxes,
+    exponent_order_oracle,
     irreducible_step_oracle,
     isolated_oracle,
 )
-from strategies import RING_SEEDS
+from strategies import RING_SEEDS, V3, ufd_boxes
 
 Z = make_ring("z")
 G = make_ring("gauss")
@@ -90,6 +93,11 @@ def test_build_fragment_zs5_6():
 @example((S5, [S5.canonical_class(Root5(6, 0)), S5.canonical_class(Root5(2, 2))]))
 @example((Z, [Z.canonical_class(12), Z.canonical_class(18), Z.canonical_class(35)]))
 @example((G, [G.canonical_class(Gauss(2, 0)), G.canonical_class(Gauss(5, 0))]))
+# a later seed's new point divided by an atom of the earlier set and by one
+# of its own; the second set of 70, 12 finds 3 after the first set's 5 and 7
+@example((S5, [S5.canonical_class(Root5(2, 2)), S5.canonical_class(Root5(2, -2))]))
+@example((S5, [S5.canonical_class(Root5(6, 0)), S5.canonical_class(Root5(4, -2))]))
+@example((Z, [Z.canonical_class(70), Z.canonical_class(12)]))
 @settings(max_examples=150, deadline=None)
 def test_build_matches_pairwise_oracle(ring_seeds):
     # the irreducible-step build against the n^2 divides matrix, on all five
@@ -106,6 +114,11 @@ def test_build_matches_pairwise_oracle(ring_seeds):
 @given(RING_SEEDS)
 @example((S5, [S5.canonical_class(Root5(6, 0)), S5.canonical_class(Root5(2, 2))]))
 @example((S5, [S5.canonical_class(Root5(7560, 0))]))
+# a later seed's new point divided by an atom of the earlier set and by one
+# of its own; the second set of 70, 12 finds 3 after the first set's 5 and 7
+@example((S5, [S5.canonical_class(Root5(2, 2)), S5.canonical_class(Root5(2, -2))]))
+@example((S5, [S5.canonical_class(Root5(6, 0)), S5.canonical_class(Root5(4, -2))]))
+@example((Z, [Z.canonical_class(70), Z.canonical_class(12)]))
 @settings(max_examples=150, deadline=None)
 def test_build_matches_irreducible_step_oracle(ring_seeds):
     # the quotient-table build against the build it replaced, which divides
@@ -114,6 +127,34 @@ def test_build_matches_irreducible_step_oracle(ring_seeds):
     ring, seeds = ring_seeds
     f = build_fragment(ring, seeds)
     assert (f._cols, f._rows, f._covers) == irreducible_step_oracle(ring, f.points)
+
+
+@given(ufd_boxes())
+@example((Z, [2, -3, 5, 7], [(5, 5, 5, 5)]))
+@example((Z, [7, 5, 2], [(1, 1, 0), (0, 0, 2)]))
+@example((V3, [V3.element(1)], [(5,)]))
+@settings(max_examples=100, deadline=None)
+def test_ufd_fragment_is_its_exponent_box(ring_box):
+    # in a UFD the fragment of the seeds prod q_i^f_i is the union of the
+    # boxes below the f, ordered componentwise.  The oracle counts on the
+    # exponent vectors, so no ring arithmetic is shared with the build, and
+    # the rings meet only in naming each vector's class
+    ring, atoms, tops = ring_box
+    vectors = exponent_boxes(tops)
+
+    def named(g):
+        return ring.canonical_class(ring.product(q for q, k in zip(atoms, g) for _ in range(k)))
+
+    f = build_fragment(ring, [named(t) for t in tops])
+    vector_of = {named(g): g for g in vectors}
+    assert len(vector_of) == len(vectors) == len(f)
+    want = exponent_order_oracle([vector_of[p] for p in f.points])
+    assert (f._cols, f._rows, f._covers) == want
+    if len(tops) == 1:
+        (e,) = tops
+        assert len(f) == math.prod(k + 1 for k in e) - 1
+        edges = sum(k * math.prod(j + 1 for j in e) // (k + 1) for k in e)
+        assert len(f.covering_pairs()) == edges - sum(1 for k in e if k)
 
 
 @pytest.mark.parametrize("ring, seed", [(Z, 720720), (G, Gauss(720720, 0))])
@@ -165,7 +206,7 @@ def test_build_lists_each_maximal_seed_once(monkeypatch, ring, seeds, listed):
     union = set().union(*(ring.divisor_classes(s.rep) for s in seeds))
     calls = []
     divisor_classes = ring.divisor_classes
-    monkeypatch.setattr(ring, "divisor_classes", lambda a, cap: calls.append(a) or divisor_classes(a, cap))
+    monkeypatch.setattr(ring, "divisor_classes", lambda a: calls.append(a) or divisor_classes(a))
     f = build_fragment(ring, seeds)
     assert calls == listed
     assert set(f.points) == union and f.seeds == tuple(seeds)
@@ -277,7 +318,7 @@ def test_union_of_under_cap_seeds_is_refused():
 
     seeds = [Z.canonical_class(v) for v in (23524300800, 26291865600, 31826995200)]
     for s in seeds:
-        assert len(Z.divisor_classes(s.rep, 4096)) == 2303
+        assert len(Z.divisor_classes(s.rep)) == 2303
     with pytest.raises(FragmentTooLarge, match="^4607 points exceeds the cap 4096$"):
         build_fragment(Z, seeds)
 
@@ -291,7 +332,7 @@ def test_union_is_refused_at_the_first_seed_past_the_cap(monkeypatch):
     seeds = [Z.canonical_class(43243200 * q) for q in range(17, 3000) if is_prime(q)][:200]
     calls = []
     divisor_classes = Z.divisor_classes
-    monkeypatch.setattr(Z, "divisor_classes", lambda a, cap: calls.append(a) or divisor_classes(a, cap))
+    monkeypatch.setattr(Z, "divisor_classes", lambda a: calls.append(a) or divisor_classes(a))
     with pytest.raises(FragmentTooLarge, match="^4703 points exceeds the cap 4096$"):
         build_fragment(Z, seeds)
     assert len(calls) == 6
