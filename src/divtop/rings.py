@@ -67,9 +67,6 @@ class Root5(NamedTuple):
     x: int
     y: int
 
-    def conj(self) -> "Root5":
-        return Root5(self.x, -self.y)
-
     @property
     def norm(self) -> int:
         return self.x * self.x + 5 * self.y * self.y
@@ -513,11 +510,13 @@ class GaussianRing(Ring):
         raise ZeroElement("zero has no canonical associate")
 
     def divide(self, numer, denom):
-        n = denom.norm
-        t = self.mul(numer, denom.conj())
-        if t.re % n == 0 and t.im % n == 0:
-            return Gauss(t.re // n, t.im // n)
-        return None
+        # numer * conj(denom) over N(denom); fields read by name refuse another type
+        a, b, c, d = numer.re, numer.im, denom.re, denom.im
+        n = c * c + d * d
+        x, y = a * c + b * d, b * c - a * d
+        if x % n or y % n:
+            return None
+        return Gauss(x // n, y // n)
 
     def sort_key(self, e):
         return (e.norm, e.re, e.im)
@@ -610,33 +609,39 @@ class PolynomialRing(Ring):
         return self.poly(x + y for x, y in zip_longest(a.coeffs, b.coeffs, fillvalue=0))
 
     def canonical(self, e):
-        inv = pow(e.coeffs[-1], -1, self.p)
+        lead = e.coeffs[-1]
+        if lead == 1:
+            return e
+        inv = pow(lead, -1, self.p)
         return Poly(self.p, tuple(c * inv % self.p for c in e.coeffs))
 
-    def divmod(self, num: Poly, den: Poly) -> tuple:
+    def _long_division(self, num: Poly, den: Poly) -> tuple:
+        """Quotient digits of num by den, reduced, leading one nonzero, and
+        the deg(den) low remainder digits, not reduced.  A step subtracts
+        only den's lower terms: the digit its leading term cancels is never
+        read again."""
         self._check(num)
         self._check(den)
         if self.is_zero(den):
             raise ZeroDivisor("polynomial division by zero")
-        dd = den.degree
-        if num.degree < dd:
-            return Poly(self.p, ()), num
-        # the quotient's digits are reduced as they are made, so its leading
-        # one, num's leading coefficient over den's, is nonzero
-        r = list(num.coeffs)
+        p, dd, r = self.p, den.degree, list(num.coeffs)
+        lower, lead = den.coeffs[:-1], den.coeffs[-1]
+        inv = 1 if lead == 1 else pow(lead, -1, p)
         q = [0] * (len(r) - dd)
-        inv = pow(den.coeffs[-1], -1, self.p)
         for k in range(len(r) - dd - 1, -1, -1):
-            c = r[k + dd] * inv % self.p
-            q[k] = c
+            c = q[k] = r[k + dd] * inv % p
             if c:
-                for j, dj in enumerate(den.coeffs):
+                for j, dj in enumerate(lower):
                     r[k + j] -= c * dj
-        return Poly(self.p, tuple(q)), self.poly(r[:dd])
+        return q, r[:dd]
+
+    def divmod(self, num: Poly, den: Poly) -> tuple:
+        q, r = self._long_division(num, den)
+        return Poly(self.p, tuple(q)), self.poly(r)
 
     def divide(self, numer, denom):
-        q, r = self.divmod(numer, denom)
-        return q if self.is_zero(r) else None
+        q, r = self._long_division(numer, denom)
+        return None if any(c % self.p for c in r) else Poly(self.p, tuple(q))
 
     def sort_key(self, e):
         return (e.degree, tuple(reversed(e.coeffs)))
@@ -676,6 +681,8 @@ class PolynomialRing(Ring):
         # so f = g(x^p) = g(x)^p, since c^p = c for every c in F_p
         self._guard(a.degree)
         f = self.canonical(a)
+        if f.degree == 1:
+            return (f,)
         out = []
         df = self.poly([i * c for i, c in enumerate(f.coeffs)][1:])
         if not self.is_zero(df):
@@ -723,16 +730,30 @@ class PolynomialRing(Ring):
             for r, j in enumerate(pivots):
                 v[j] = -cols[r][free] % p
             basis.append(self.poly(v))
+        # the gcds over s are pairwise coprime, so the scan of h stops once
+        # their degrees add up to deg h; a linear h has nothing to split
         factors = [f]
         for v in basis:
             if len(factors) > len(basis):
                 break
-            splits = (self._gcd(h, self.add(v, self.poly([-s]))) for h in factors for s in range(p))
-            factors = [self.canonical(g) for g in splits if not self.is_unit(g)]
+            split = []
+            for h in factors:
+                if h.degree == 1:
+                    split.append(h)
+                    continue
+                w, left = self._rem(v, h), h.degree
+                for s in range(p):
+                    g = self._gcd(h, self.add(w, self.poly([-s])))
+                    if not self.is_unit(g):
+                        split.append(self.canonical(g))
+                        left -= g.degree
+                        if not left:
+                            break
+            factors = split
         return factors
 
     def _rem(self, a, b):
-        return self.divmod(a, b)[1]
+        return self.poly(self._long_division(a, b)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -770,11 +791,13 @@ class RootMinus5Ring(Ring):
         return Root5(-e.x, -e.y)
 
     def divide(self, numer, denom):
-        n = denom.norm
-        t = self.mul(numer, denom.conj())
-        if t.x % n == 0 and t.y % n == 0:
-            return Root5(t.x // n, t.y // n)
-        return None
+        # numer * conj(denom) over N(denom); fields read by name refuse another type
+        a, b, c, d = numer.x, numer.y, denom.x, denom.y
+        n = c * c + 5 * d * d
+        x, y = a * c + 5 * b * d, b * c - a * d
+        if x % n or y % n:
+            return None
+        return Root5(x // n, y // n)
 
     def sort_key(self, e):
         return (e.norm, e.x, e.y)
@@ -798,6 +821,9 @@ class RootMinus5Ring(Ring):
         return out
 
     def _divisor_reps(self, a):
+        # c divides a exactly when a/c does, and one of the two has norm at
+        # most sqrt(N(a)): the canonical c of each norm d with d^2 <= N(a)
+        # are tried, and each that divides gives c (unless d is 1) and a/c
         self._guard_norm(a)
         n = a.norm
         divs = [1]
@@ -805,15 +831,17 @@ class RootMinus5Ring(Ring):
             divs = [d * p**k for d in divs for k in range(e + 1)]
         reps = set()
         for d in divs:
-            if d < 2:
+            if d * d > n:
                 continue
             for x, y in self._norm_solutions(d):
                 cands = [Root5(x, y)]
                 if x > 0 and y > 0:
                     cands.append(Root5(x, -y))
                 for c in cands:
-                    if self.divide(a, c) is not None:
-                        reps.add(self.canonical(c))
+                    if (q := self.divide(a, c)) is not None:
+                        reps.add(self.canonical(q))
+                        if d > 1:
+                            reps.add(c)
         return reps
 
     def _factor_reps(self, a):

@@ -8,12 +8,14 @@ factorizer are the library's earlier implementations, kept as references for
 the irreducible-step build, the O(n) checks, the division certificates of
 ``isolated_points`` and the finite-field factorizer, as is sympy's
 ``gf_factor``, which the Berlekamp factorizer replaced, and the unit search
-that the gauss quadrant rotation replaced.  The gcd-intersection partner
-search and its frozenset intersection are the earlier versions of the
-fragment-column search, and the irreducible-step oracle, which divides each
-point by every earlier irreducible point, is the earlier build of the
-quotient-table build.  The exponent-box oracle calls no ring at all: it
-reads a UFD fragment off the componentwise order on exponent vectors.
+that the gauss quadrant rotation replaced.  ``conj_product_divide`` is the
+earlier gauss and zs5 exact division, through ``mul`` by the conjugate.  The
+gcd-intersection partner search and its frozenset intersection are the
+earlier versions of the fragment-column search, and the irreducible-step
+oracle, which divides each point by every earlier irreducible point, is the
+earlier build of the quotient-table build.  The exponent-box oracle calls
+no ring at all: it reads a UFD fragment off the componentwise order on
+exponent vectors.
 """
 
 from itertools import combinations, product
@@ -65,6 +67,17 @@ def zs5_divisor_classes(ring, a) -> set:
             if ring.divide(a, g) is not None:
                 out.add(ring.canonical_class(g))
     return out
+
+
+def conj_product_divide(ring, numer, denom):
+    """numer/denom for gauss or zs5 as numer * conj(denom) over the norm of
+    denom, or None when that is not integral: the library's earlier
+    ``divide`` for both rings."""
+    n = denom.norm
+    t = ring.mul(numer, type(denom)(denom[0], -denom[1]))
+    if t[0] % n == 0 and t[1] % n == 0:
+        return type(denom)(t[0] // n, t[1] // n)
+    return None
 
 
 def gauss_canonical_by_units(ring, e):

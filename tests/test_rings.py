@@ -23,10 +23,11 @@ from divtop.errors import (
     ZeroElement,
 )
 from divtop import rings
-from divtop.rings import RING_TAGS, RINGS, Gauss, PPow, Ring, Root5, make_ring
+from divtop.rings import RING_TAGS, RINGS, Gauss, PolynomialRing, PPow, Ring, Root5, make_ring
 from divtop.topology import build_fragment
 
 from oracles import (
+    conj_product_divide,
     divisor_classes_oracle,
     fp_rabin_irreducible,
     fp_sympy_factor,
@@ -36,7 +37,7 @@ from oracles import (
     int_is_prime,
 )
 # the rings that key ELEMENTS: make_ring returns a new ring on every call
-from strategies import ELEMENTS, F2, F3, G, RING_ELEMENTS, S5, V3, Z
+from strategies import ELEMENTS, F2, F3, F5, G, RING_ELEMENTS, S5, V3, Z
 
 V2 = make_ring("valp", 2)
 
@@ -187,6 +188,52 @@ def test_divides_matches_classes(a, b):
     assert both == (Z.canonical_class(a) == Z.canonical_class(b))
 
 
+@st.composite
+def pair_divisions(draw):
+    # (ring, numer, denom) on gauss or zs5, parts small or past 64 bits;
+    # half the numerators are multiples of the denominator
+    ring, kind = draw(st.sampled_from([(G, Gauss), (S5, Root5)]))
+    elems = st.builds(kind, GAUSS_PARTS, GAUSS_PARTS)
+    denom = draw(elems.filter(lambda e: not ring.is_zero(e)))
+    numer = draw(elems)
+    if draw(st.booleans()):
+        numer = ring.mul(numer, denom)
+    return ring, numer, denom
+
+
+@given(pair_divisions())
+@example((S5, Root5(6, 0), Root5(1, 1)))
+@example((S5, Root5(6, 0), Root5(2, 0)))
+@example((S5, Root5(0, 0), Root5(2, -1)))
+@example((G, Gauss(2, 0), Gauss(1, -1)))
+@example((G, Gauss(-(2**64) - 1, 2**70), Gauss(0, -1)))
+@settings(max_examples=300, deadline=None)
+def test_pair_divide_against_conj_product(case):
+    ring, numer, denom = case
+    q = ring.divide(numer, denom)
+    assert q == conj_product_divide(ring, numer, denom)
+    if q is not None:
+        assert type(q) is type(denom)
+        assert ring.mul(denom, q) == numer
+
+
+@pytest.mark.parametrize(
+    "ring, numer, denom",
+    [
+        (G, Gauss(6, 0), Root5(1, 1)),
+        (G, Root5(6, 0), Gauss(1, 1)),
+        (S5, Root5(6, 0), Gauss(1, 1)),
+        (S5, Gauss(6, 0), Root5(1, 1)),
+        (S5, Root5(6, 0), (1, 1)),
+        (G, 6, Gauss(1, 1)),
+    ],
+)
+def test_pair_divide_refuses_an_element_of_another_type(ring, numer, denom):
+    # the fields are read by name, so a pair of another type raises
+    with pytest.raises(AttributeError):
+        ring.divide(numer, denom)
+
+
 def test_mutual_divisibility_is_class_equality_everywhere():
     rng = random.Random(7)
     for ring in ALL_RINGS:
@@ -220,6 +267,9 @@ def test_divisor_classes_valp():
 @example((F3, F3.parse("x^6+2x^5+x^4")))  # x^4 (x+1)^2
 @example((V3, V3.element(9)))
 @example((Z, 2**6 * 3**3 * 5))
+@example((S5, Root5(6, 0)))  # N = 36: 1+s and 1-s have norm exactly sqrt(N)
+@example((S5, Root5(3, 2)))  # an atom of prime norm 29
+@example((S5, Root5(-252, -252)))
 @settings(max_examples=150, deadline=None)
 def test_divisor_classes_against_oracle(ring_elem):
     ring, e = ring_elem
@@ -461,6 +511,11 @@ def test_fp_product_of_two_sextics():
 
 
 FP_ALL = tuple(make_ring("fp", p) for p in (2, 3, 5, 7, 11, 13, 17))
+F13 = make_ring("fp", 13)
+# (x+5)^2 (x+6)^2 (x+7)(x+9)(x+10)(x^2+12x+2): six distinct factors for
+# the split, five of them linear
+SPLIT13 = "x^9+8x^8+7x^7+12x^6+10x^5+x^4+6x^3+6x^2+10x+10"
+TWELVE_LINEAR = F17.product(F17.poly([-s, 1]) for s in range(1, 13))
 
 
 @st.composite
@@ -484,6 +539,8 @@ def fp_factor_cases(draw):
 
 
 @given(fp_factor_cases())
+@example((F17, TWELVE_LINEAR))
+@example((F13, F13.parse(SPLIT13)))
 @settings(max_examples=300, deadline=None)
 def test_fp_factor_against_sympy(ring_elem):
     ring, e = ring_elem
@@ -527,6 +584,9 @@ def _dense(ring, e) -> list:
 @given(fp_operand_pairs())
 @example((F2, F2.poly([]), F2.poly([1, 1])))
 @example((F17, F17.poly([3, 0, 16]), F17.poly([])))
+@example((F5, F5.poly([4, 0, 1]), F5.poly([4, 1])))  # (x+1)(x+4) by x+4, monic
+@example((F5, F5.poly([4, 0, 1]), F5.poly([3, 2])))  # by 2x+3 = 2(x+4)
+@example((F5, F5.poly([4, 0, 1]), F5.poly([1, 0, 3])))  # by 3x^2+1: deg num = deg den
 @settings(max_examples=300, deadline=None)
 def test_fp_primitives_against_galoistools(case):
     ring, a, b = case
@@ -535,7 +595,12 @@ def test_fp_primitives_against_galoistools(case):
     assert _dense(ring, ring.add(a, b)) == gf_add(f, g, p, ZZ)
     if g:
         q, r = ring.divmod(a, b)
-        assert [_dense(ring, q), _dense(ring, r)] == list(gf_div(f, g, p, ZZ))
+        gq, gr = gf_div(f, g, p, ZZ)
+        assert [_dense(ring, q), _dense(ring, r)] == [gq, gr]
+        exact = ring.divide(a, b)
+        assert (exact is None) if gr else (_dense(ring, exact) == gq)
+        # a multiple of b divides exactly, by a monic or a non-monic b
+        assert ring.divide(ring.mul(a, b), b) == a
 
 
 @given(st.one_of(fp_factor_cases(), FP_LARGE_ELEMENTS))
@@ -543,6 +608,45 @@ def test_fp_primitives_against_galoistools(case):
 def test_fp_irreducible_against_rabin(ring_elem):
     ring, e = ring_elem
     assert ring.is_irreducible(e) == fp_rabin_irreducible(ring, e)
+
+
+def test_zs5_listing_solves_only_norms_up_to_the_square_root(monkeypatch):
+    # each divisor c of a is found from c or from a/c, whichever has the
+    # smaller norm; solving for every divisor of N took 440 calls and 61264
+    # steps of the y loop
+    solved = []
+    norm_solutions = type(S5)._norm_solutions
+    monkeypatch.setattr(
+        type(S5), "_norm_solutions", staticmethod(lambda d: solved.append(d) or norm_solutions(d))
+    )
+    a = Root5(7560, 0)
+    assert len(S5._divisor_reps(a)) == 671
+    assert all(d * d <= a.norm for d in solved)
+    assert len(solved) == 221
+    assert sum(math.isqrt(d // 5) + 1 for d in solved) == 3339
+
+
+def test_fp_split_stops_once_the_factor_degrees_add_up(monkeypatch):
+    # scanning every s on every factor, linear ones included, took 79 gcds
+    calls = []
+    gcd = PolynomialRing._gcd
+    monkeypatch.setattr(
+        PolynomialRing, "_gcd", lambda self, a, b: calls.append(1) or gcd(self, a, b)
+    )
+    factors = [c.text for c in F13.factor(F13.parse(SPLIT13))]
+    assert factors == ["x+5", "x+5", "x+6", "x+6", "x+7", "x+9", "x+10", "x^2+12x+2"]
+    assert len(calls) <= 28
+
+
+def test_a_linear_polynomial_is_irreducible_without_berlekamp(monkeypatch):
+    calls = []
+    berlekamp = PolynomialRing._berlekamp
+    monkeypatch.setattr(
+        PolynomialRing, "_berlekamp", lambda self, f: calls.append(f) or berlekamp(self, f)
+    )
+    assert F17.is_irreducible(F17.parse("x+3"))
+    assert [c.text for c in F17.factor(F17.parse("5x+15"))] == ["x+3"]
+    assert calls == []
 
 
 def test_zs5_factor_enumerates_divisors_once(monkeypatch):
