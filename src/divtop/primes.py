@@ -32,6 +32,10 @@ def require_stream_capability(ring: Ring) -> None:
 
 
 def _validate_members(ring: Ring, members: Sequence[ClassId]) -> None:
+    ring.claim(*members)
+    require_stream_capability(ring)
+    if not members:
+        raise ParameterError("prime list must be nonempty")
     if len(set(members)) != len(members):
         raise AssociatedInputs("prime list members must be pairwise non-associated")
     for c in members:
@@ -41,35 +45,34 @@ def _validate_members(ring: Ring, members: Sequence[ClassId]) -> None:
 
 def euclid_step(ring: Ring, members: Sequence[ClassId]) -> ClassId:
     """One growth step: returns a prime class not associated to any member."""
-    ring.claim(*members)
-    require_stream_capability(ring)
-    if not members:
-        raise ParameterError("prime list must be nonempty")
     _validate_members(ring, members)
+    return _grow(ring, members)
+
+
+def _grow(ring: Ring, members: Sequence[ClassId]) -> ClassId:
     head = members[0].rep
     tail = ring.product(c.rep for c in members[1:])
-    x = None
     power = ring.one()
     for _ in range(M_CAP):
         power = ring.mul(power, head)
-        cand = ring.add(power, tail)
-        if not ring.is_zero(cand) and not ring.is_unit(cand):
-            x = cand
+        x = ring.add(power, tail)
+        if not ring.is_zero(x) and not ring.is_unit(x):
             break
-    if x is None:
+    else:
         raise SizeGuard(f"no non-unit candidate within {M_CAP} exponent steps")
     # the construction guarantees every current member misses x
     for c in members:
         assert not ring.divides(c.rep, x), f"{c.text} divides the candidate"
-    factors = ring.factor(x)
-    return min(factors, key=ring.class_sort_key)
+    return min(ring.factor(x), key=ring.class_sort_key)
 
 
 def prime_stream(ring: Ring, start: Sequence[ClassId], count: int) -> tuple:
-    """start extended by count new pairwise non-associated primes."""
+    """start extended by count new pairwise non-associated primes.  Only start
+    is validated: each member appended is prime by construction."""
     if count < 1:
         raise ParameterError("count must be >= 1")
     members = tuple(start)
+    _validate_members(ring, members)
     for _ in range(count):
-        members += (euclid_step(ring, members),)
+        members += (_grow(ring, members),)
     return members

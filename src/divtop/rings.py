@@ -575,7 +575,7 @@ class PolynomialRing(Ring):
 
     def poly(self, coeffs) -> Poly:
         """The normal form: coefficients reduced mod p, no trailing zeros.
-        mul, add and divmod work on plain integers and return through here."""
+        mul, add and _rem work on plain integers and return through here."""
         out = [c % self.p for c in coeffs]
         while out and not out[-1]:
             out.pop()
@@ -634,10 +634,6 @@ class PolynomialRing(Ring):
                 for j, dj in enumerate(lower):
                     r[k + j] -= c * dj
         return q, r[:dd]
-
-    def divmod(self, num: Poly, den: Poly) -> tuple:
-        q, r = self._long_division(num, den)
-        return Poly(self.p, tuple(q)), self.poly(r)
 
     def divide(self, numer, denom):
         q, r = self._long_division(numer, denom)

@@ -35,7 +35,7 @@ class PointSet:
 
     def classes(self) -> tuple:
         pts = self.fragment.points
-        return tuple(pts[i] for i in range(len(pts)) if self.bits >> i & 1)
+        return tuple(pts[i] for i in _iter_bits(self.bits))
 
     def texts(self) -> tuple:
         return tuple(c.text for c in self.classes())
@@ -83,8 +83,8 @@ class Fragment:
 
     ``col(j)`` masks the divisors of point j (the basic open), ``row(i)``
     masks the multiples of point i (the closure of the singleton).  Both are
-    reflexive.  ``covers`` lists the covering pairs (i, j), sorted.  Instances
-    are immutable once built.
+    reflexive.  ``covers`` lists the covering pairs (i, j) in any order;
+    ``covering_pairs()`` sorts them.  Instances are immutable once built.
     """
 
     def __init__(
@@ -153,7 +153,8 @@ class Fragment:
 
     def isolated(self) -> PointSet:
         """Points whose basic open is the point alone."""
-        return PointSet(self, sum(1 << j for j, col in enumerate(self._cols) if col == 1 << j))
+        return PointSet(self, sum(1 << j for j, col in enumerate(self._cols)
+                                  if col.bit_count() == 1 and col.bit_length() == j + 1))
 
     def specializes(self, p: ClassId, q: ClassId) -> bool:
         """True when q lies in the closure of {p}, i.e. p divides q."""
@@ -206,7 +207,7 @@ class Fragment:
 
     def covering_pairs(self) -> list:
         """Transitive reduction of the divisibility relation, as sorted index pairs."""
-        return list(self._covers)
+        return sorted(self._covers)
 
 
 def _iter_bits(bits: int) -> Iterator[int]:
@@ -245,8 +246,8 @@ def build_fragment(ring: Ring, seeds: Iterable[ClassId]) -> Fragment:
 
 
 def _divisibility(ring: Ring, points: tuple, divisor_sets: list) -> tuple:
-    """Columns, rows and covering pairs of the union of ``divisor_sets``,
-    listed in ``points``; each set is divisor-closed.
+    """Columns, rows and covering pairs (in walk order) of the union of
+    ``divisor_sets``, listed in ``points``; each set is divisor-closed.
 
     In an atomic domain every proper divisor of v divides v/q for some
     irreducible q dividing v, and a cover is exactly a step v/q -> v.  The
@@ -323,4 +324,4 @@ def _divisibility(ring: Ring, points: tuple, divisor_sets: list) -> tuple:
     rows = [1 << i for i in range(n)]
     for u, v in reversed(covers):
         rows[u] |= rows[v]
-    return tuple(cols), tuple(rows), tuple(sorted(covers))
+    return tuple(cols), tuple(rows), tuple(covers)

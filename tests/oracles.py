@@ -13,9 +13,10 @@ earlier gauss and zs5 exact division, through ``mul`` by the conjugate.  The
 gcd-intersection partner search and its frozenset intersection are the
 earlier versions of the fragment-column search, and the irreducible-step
 oracle, which divides each point by every earlier irreducible point, is the
-earlier build of the quotient-table build.  The exponent-box oracle calls
-no ring at all: it reads a UFD fragment off the componentwise order on
-exponent vectors.
+earlier build of the quotient-table build.  The every-bit scan of a point
+set is the earlier ``PointSet.classes``, which now walks only the set bits.
+The exponent-box oracle calls no ring at all: it reads a UFD fragment off
+the componentwise order on exponent vectors.
 """
 
 from itertools import combinations, product
@@ -141,14 +142,14 @@ def fp_rabin_irreducible(ring, f) -> bool:
     irreducible iff x^(p^n) = x mod f and gcd(x^(p^(n/q)) - x, f) is a unit
     for every prime q dividing n."""
     n = f.degree
-    x = ring.divmod(ring.poly([0, 1]), f)[1]
+    x = ring._rem(ring.poly([0, 1]), f)
 
     def frobenius(h):  # h^p mod f by square and multiply
         out, base, e = ring.one(), h, ring.p
         while e:
             if e & 1:
-                out = ring.divmod(ring.mul(out, base), f)[1]
-            base, e = ring.divmod(ring.mul(base, base), f)[1], e >> 1
+                out = ring._rem(ring.mul(out, base), f)
+            base, e = ring._rem(ring.mul(base, base), f), e >> 1
         return out
 
     powers = [x]  # powers[k] = x^(p^k) mod f
@@ -209,6 +210,13 @@ def down_sets_oracle(fragment) -> set:
         if all(divs[j] & ~bits == 0 for j in range(n) if bits >> j & 1):
             out.add(bits)
     return out
+
+
+def point_set_classes_oracle(s) -> tuple:
+    """The classes of point set s, by testing every bit of its mask in point
+    order."""
+    pts = s.fragment.points
+    return tuple(pts[i] for i in range(len(pts)) if s.bits >> i & 1)
 
 
 def divisibility_oracle(ring, points) -> tuple:

@@ -155,6 +155,32 @@ def test_every_prop_in_one_call_reports_in_table_order(capsys, ring_args):
     assert [json.loads(line)["check"] for line in out.splitlines()] == props
 
 
+@pytest.mark.parametrize(
+    "ring_args",
+    [
+        ("--ring", "z", "--seeds", "30,7"),
+        ("--ring", "gauss", "--seeds", "3+9i"),
+        ("--ring", "fp", "--p", "3", "--seeds", "x^3+2x", "--n", "4"),
+        ("--ring", "zs5", "--seeds", "6"),
+        ("--ring", "valp", "--p", "2", "--seeds", "p^3"),
+    ],
+    ids=rings.RING_TAGS,
+)
+def test_no_prop_reads_the_covering_pairs(capsys, monkeypatch, ring_args):
+    # only export draws the Hasse diagram, so a check never sorts the pairs
+    want = [run(capsys, "check", *ring_args, "--props", p) for p in checks.PROPS]
+
+    def refuse(self):
+        raise AssertionError("a check read the covering pairs")
+
+    monkeypatch.setattr(topology.Fragment, "covering_pairs", refuse)
+    assert [run(capsys, "check", *ring_args, "--props", p) for p in checks.PROPS] == want
+    # every run checks something: only valp's sep-nbhd is refused, as valp
+    # has one irreducible
+    assert [code for code, _, _ in want] == [2 * (p == "sep-nbhd" and "valp" in ring_args)
+                                             for p in checks.PROPS]
+
+
 def test_readme_lists_the_props_and_rings_in_table_order():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     props = re.search(r"Available props for `check`:\s*`([^`]*)`", readme).group(1)

@@ -131,3 +131,38 @@ def test_stream_is_deterministic():
     a = prime_stream(Z, zlist(2, 3), 6)
     b = prime_stream(Z, zlist(2, 3), 6)
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "ring, start, count",
+    [(Z, zlist(2), 10), (G, (G.canonical_class(Gauss(1, 2)),), 6)],
+    ids=["z", "gauss"],
+)
+def test_prime_stream_validates_its_start_once(monkeypatch, ring, start, count):
+    # each member the stream appends is prime by construction; validating
+    # every member at every step took 55 and 21 irreducibility tests here
+    calls = []
+    is_irreducible = ring.is_irreducible
+    monkeypatch.setattr(ring, "is_irreducible", lambda a: calls.append(a) or is_irreducible(a))
+    out = prime_stream(ring, start, count)
+    assert calls == [start[0].rep]
+    assert len(set(out)) == len(start) + count
+    assert all(is_irreducible(c.rep) for c in out)
+
+
+@pytest.mark.parametrize(
+    "ring, start, count, error, message",
+    [
+        (S5, (G.canonical_class(Gauss(1, 1)),), 0, ParameterError, "count must be >= 1"),
+        (S5, (G.canonical_class(Gauss(1, 1)),), 1, RingMismatch, "a class of gauss does not belong"),
+        (S5, (), 1, CapabilityMissing, "zs5 does not support the prime stream"),
+        (Z, (), 1, ParameterError, "prime list must be nonempty"),
+        (Z, zlist(4, -4), 1, AssociatedInputs, "pairwise non-associated"),
+        (Z, zlist(2, 4), 1, NotIrreducible, "4 is not prime in z"),
+    ],
+)
+def test_prime_stream_refuses_in_order(ring, start, count, error, message):
+    # a row also breaks rules checked after the one it names, where it can,
+    # so a check moved later shows as another error
+    with pytest.raises(error, match=message):
+        prime_stream(ring, start, count)

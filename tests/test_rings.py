@@ -165,7 +165,7 @@ def test_divides_zero_divisor():
     with pytest.raises(ZeroDivisor):
         Z.divides(0, 6)
     with pytest.raises(ZeroDivisor, match="^polynomial division by zero$"):
-        F2.divmod(F2.parse("x"), F2.poly([]))
+        F2.divide(F2.parse("x"), F2.poly([]))
 
 
 def test_an_element_of_another_p_is_refused():
@@ -594,7 +594,9 @@ def test_fp_primitives_against_galoistools(case):
     assert _dense(ring, ring.mul(a, b)) == gf_mul(f, g, p, ZZ)
     assert _dense(ring, ring.add(a, b)) == gf_add(f, g, p, ZZ)
     if g:
-        q, r = ring.divmod(a, b)
+        # the quotient digits come reduced, the remainder digits do not
+        q, r = ring._long_division(a, b)
+        q, r = rings.Poly(ring.p, tuple(q)), ring.poly(r)
         gq, gr = gf_div(f, g, p, ZZ)
         assert [_dense(ring, q), _dense(ring, r)] == [gq, gr]
         exact = ring.divide(a, b)

@@ -5,6 +5,7 @@ import random
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from divtop import checks as C
 from divtop.errors import (
@@ -14,8 +15,8 @@ from divtop.errors import (
     PointNotInFragment,
     RingMismatch,
 )
-from divtop.rings import Gauss, PPow, Ring, Root5, make_ring
-from divtop.topology import _divisibility, build_fragment
+from divtop.rings import ClassId, Gauss, PPow, Ring, Root5, make_ring
+from divtop.topology import Fragment, PointSet, _divisibility, build_fragment
 
 from oracles import (
     covering_pairs_oracle,
@@ -25,8 +26,9 @@ from oracles import (
     exponent_order_oracle,
     irreducible_step_oracle,
     isolated_oracle,
+    point_set_classes_oracle,
 )
-from strategies import RING_SEEDS, V3, ufd_boxes
+from strategies import ELEMENTS, RING_SEEDS, V3, ufd_boxes
 
 Z = make_ring("z")
 G = make_ring("gauss")
@@ -126,7 +128,7 @@ def test_build_matches_irreducible_step_oracle(ring_seeds):
     # and sorted covers, bit for bit
     ring, seeds = ring_seeds
     f = build_fragment(ring, seeds)
-    assert (f._cols, f._rows, f._covers) == irreducible_step_oracle(ring, f.points)
+    assert (f._cols, f._rows, tuple(f.covering_pairs())) == irreducible_step_oracle(ring, f.points)
 
 
 @given(ufd_boxes())
@@ -149,7 +151,7 @@ def test_ufd_fragment_is_its_exponent_box(ring_box):
     vector_of = {named(g): g for g in vectors}
     assert len(vector_of) == len(vectors) == len(f)
     want = exponent_order_oracle([vector_of[p] for p in f.points])
-    assert (f._cols, f._rows, f._covers) == want
+    assert (f._cols, f._rows, tuple(f.covering_pairs())) == want
     if len(tops) == 1:
         (e,) = tops
         assert len(f) == math.prod(k + 1 for k in e) - 1
@@ -263,6 +265,47 @@ def test_baseline_gauss_720720_build():
     f = build_fragment(G, [G.canonical_class(Gauss(720720, 0))])
     assert len(f) == 1727
     assert len(f.covering_pairs()) > len(f)
+
+
+def test_covering_pairs_are_sorted_afresh_on_each_read():
+    # the build keeps the pairs in walk order; each read sorts a new list
+    f = zfrag(360, 77)
+    pairs = f.covering_pairs()
+    want = sorted(pairs)
+    assert pairs == want and f.covering_pairs() == want
+    pairs.reverse()
+    pairs.append((0, 0))
+    assert f.covering_pairs() == want
+
+
+@pytest.mark.parametrize("ring", ELEMENTS, ids=lambda ring: ring.name)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_point_set_classes_match_the_every_bit_scan(ring, data):
+    # classes() walks only the set bits; the scan it replaced tests each of
+    # the n bits in turn
+    seeds = data.draw(st.lists(ELEMENTS[ring], min_size=1, max_size=3))
+    f = build_fragment(ring, [ring.canonical_class(e) for e in seeds])
+    n = len(f)
+    masks = [0, f.full_bits, 1, 1 << n - 1, data.draw(st.integers(0, f.full_bits))]
+    for bits in masks:
+        s = PointSet(f, bits)
+        want = point_set_classes_oracle(s)
+        assert s.classes() == want and tuple(s) == want
+        assert s.texts() == tuple(c.text for c in want)
+
+
+def test_isolated_reads_only_singleton_columns():
+    # point 0's column is {0}; point 1's holds point 0 but not its own,
+    # point 2's a later point but not its own, and point 3's is empty; point
+    # 4's holds its own and one other.  Only point 0 is isolated
+    cols = (0b00001, 0b00001, 0b01000, 0b00000, 0b10010)
+    n = len(cols)
+    points = tuple(ClassId("z", r, str(r)) for r in (2, 3, 5, 7, 11))
+    rows = tuple(sum(1 << j for j in range(n) if cols[j] >> i & 1) for i in range(n))
+    f = Fragment(Z, points, cols, rows, (), points[:1])
+    assert f.isolated().bits == 0b00001
+    assert f.isolated().texts() == ("2",)
 
 
 @given(RING_SEEDS)
