@@ -86,8 +86,8 @@ def fragment_to_dot(fragment: Fragment) -> str:
     for t in texts:
         lines.append(f'  "{t}";')
     by_rank: dict = {}
-    for i, p in enumerate(fragment.points):
-        by_rank.setdefault(len(fragment.basic_open(p)), []).append(texts[i])
+    for t, col in zip(texts, fragment._cols):
+        by_rank.setdefault(col.bit_count(), []).append(t)
     for rank in sorted(by_rank):
         row = " ".join(f'"{t}";' for t in by_rank[rank])
         lines.append(f"  {{ rank=same; {row} }}")

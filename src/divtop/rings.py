@@ -276,13 +276,17 @@ class Ring:
         """Canonical irreducible factors of a, with multiplicity."""
         raise NotImplementedError
 
-    def _divisor_reps(self, a) -> set:
-        """Canonical reps of every non-unit divisor class of a.
+    def _divisor_reps(self, a) -> list:
+        """Canonical reps of every non-unit divisor class of a, each once and
+        after all of its divisors.
 
         In a UFD these are the products of sub-multisets of a's irreducible
         factors, so their number, prod(e + 1) - 1 over the factor exponents,
         is known first, and more than ``POINT_CAP`` raise before any is
-        built.  Rings without unique factorization list them all."""
+        built.  They are listed as running products: d * f^k comes after
+        d * f^(k-1) and after d, and the factors are canonical and distinct,
+        so no class comes twice.  Rings without unique factorization list
+        them all."""
         counts = {}
         for f in self._factor_reps(a):
             counts[f] = counts.get(f, 0) + 1
@@ -297,7 +301,7 @@ class Ring:
                     d = self.mul(d, f)
                     step.append(d)
             divs += step
-        return {self.canonical(d) for d in divs[1:]}
+        return [self.canonical(d) for d in divs[1:]]
 
     def _irreducible(self, a) -> bool:
         return len(self._factor_reps(a)) == 1
@@ -336,15 +340,19 @@ class Ring:
             raise ZeroDivisor(f"zero divides nothing in {self.name}")
         return self.divide(b, a) is not None
 
-    def divisor_classes(self, a) -> frozenset:
-        """Every non-unit divisor class of a, a's own included.  More than
-        ``POINT_CAP`` of them raise ``FragmentTooLarge``; in a UFD that
-        happens before they are listed."""
+    def divisor_list(self, a) -> tuple:
+        """Every non-unit divisor class of a, a's own included, each once and
+        after all of its divisors.  More than ``POINT_CAP`` of them raise
+        ``FragmentTooLarge``; in a UFD that happens before they are listed."""
         self._require_operand(a)
         reps = self._divisor_reps(a)
         if len(reps) > POINT_CAP:
             raise FragmentTooLarge(len(reps), POINT_CAP)
-        return frozenset(self._class(r) for r in reps)
+        return tuple(self._class(r) for r in reps)
+
+    def divisor_classes(self, a) -> frozenset:
+        """The classes of ``divisor_list`` as a set."""
+        return frozenset(self.divisor_list(a))
 
     def is_irreducible(self, a) -> bool:
         self._require_operand(a)
@@ -671,15 +679,27 @@ class PolynomialRing(Ring):
             raise SizeGuard(f"degree {brief(degree)} exceeds the fp bound {self.DEG_MAX}")
 
     def _factor_reps(self, a):
+        # each root s of f in F_p, found by Horner evaluation, gives the
+        # factor x - s, divided out as often as it goes.  The rest has no
+        # root, so below degree 4 it is a unit or irreducible.  Otherwise
         # f / gcd(f, f') is the square-free product of the irreducibles whose
         # multiplicity p does not divide: Berlekamp splits it, and each factor
         # is peeled out of f as often as it divides.  What is left has f' = 0,
         # so f = g(x^p) = g(x)^p, since c^p = c for every c in F_p
         self._guard(a.degree)
-        f = self.canonical(a)
-        if f.degree == 1:
-            return (f,)
+        p, f = self.p, self.canonical(a)
         out = []
+        for s in range(p):
+            v = 0
+            for c in reversed(f.coeffs):
+                v = (v * s + c) % p
+            if not v:
+                root = Poly(p, (-s % p, 1))
+                while (q := self.divide(f, root)) is not None:
+                    out.append(root)
+                    f = q
+        if f.degree < 4:
+            return tuple(out) if self.is_unit(f) else (*out, f)
         df = self.poly([i * c for i, c in enumerate(f.coeffs)][1:])
         if not self.is_zero(df):
             for g in self._berlekamp(self.canonical(self.divide(f, self._gcd(f, df)))):
@@ -727,16 +747,13 @@ class PolynomialRing(Ring):
                 v[j] = -cols[r][free] % p
             basis.append(self.poly(v))
         # the gcds over s are pairwise coprime, so the scan of h stops once
-        # their degrees add up to deg h; a linear h has nothing to split
+        # their degrees add up to deg h
         factors = [f]
         for v in basis:
             if len(factors) > len(basis):
                 break
             split = []
             for h in factors:
-                if h.degree == 1:
-                    split.append(h)
-                    continue
                 w, left = self._rem(v, h), h.degree
                 for s in range(p):
                     g = self._gcd(h, self.add(w, self.poly([-s])))
@@ -838,16 +855,17 @@ class RootMinus5Ring(Ring):
                         reps.add(self.canonical(q))
                         if d > 1:
                             reps.add(c)
-        return reps
+        # a proper divisor has the smaller norm, sort_key's first entry
+        return sorted(reps, key=self.sort_key)
 
     def _factor_reps(self, a):
         # not a UFD, so peel: in an atomic domain the least proper divisor is
         # irreducible, and splitting it off until none is left factors a.
         # Every divisor of rest divides a, and none listed before d divides
-        # rest once d is reached, so one sorted list of a's divisors serves
+        # rest once d is reached, so one listing of a's divisors serves
         out = []
         rest = self.canonical(a)
-        for d in sorted(self._divisor_reps(rest), key=self.sort_key):
+        for d in self._divisor_reps(rest):
             while d != rest and (q := self.divide(rest, d)) is not None:
                 out.append(d)
                 rest = self.canonical(q)

@@ -236,8 +236,8 @@ def build_fragment(ring: Ring, seeds: Iterable[ClassId]) -> Fragment:
     divisor_sets = []
     for s in sorted(seeds, key=ring.class_sort_key, reverse=True):
         if s not in classes:
-            divisor_sets.append(ring.divisor_classes(s.rep))
-            classes |= divisor_sets[-1]
+            divisor_sets.append(ring.divisor_list(s.rep))
+            classes.update(divisor_sets[-1])
             if len(classes) > POINT_CAP:
                 raise FragmentTooLarge(len(classes), POINT_CAP)
     points = tuple(sorted(classes, key=lambda c: c.text))
@@ -247,17 +247,21 @@ def build_fragment(ring: Ring, seeds: Iterable[ClassId]) -> Fragment:
 
 def _divisibility(ring: Ring, points: tuple, divisor_sets: list) -> tuple:
     """Columns, rows and covering pairs (in walk order) of the union of
-    ``divisor_sets``, listed in ``points``; each set is divisor-closed.
+    ``divisor_sets``, listed in ``points``.  Each set is divisor-closed and
+    lists every point after all of its divisors, as ``Ring.divisor_list``
+    does.
 
     In an atomic domain every proper divisor of v divides v/q for some
     irreducible q dividing v, and a cover is exactly a step v/q -> v.  The
     sets are walked in order, and the points of a set not walked before go
-    by ``sort_key``, whose first entry strictly shrinks along proper
-    division, so every irreducible point (atom) and every v/q is walked
-    before v.  Every atom dividing v lies in the set being walked, so v
-    tries only that set's atoms: first those found in earlier sets, then
-    those found in this one, which is the order they were all found in.  A
-    point none of them divides is an atom itself.
+    in the order the set lists them, so every irreducible point (atom) and
+    every v/q is walked before v.  Every atom dividing v lies in the set
+    being walked, so v tries only that set's atoms: first those found in
+    earlier sets, then those found in this one, which is the order they were
+    all found in.  A point none of them divides is an atom itself.  The
+    proof below needs only these two things: each set lists a point after
+    every divisor of it, and atoms are tried in the one order they were
+    found in.
 
     The atoms are tried in order until the first, q_k, divides v; u = v/q_k
     is the one quotient computed by division, and ``times[k][u] = v``
@@ -287,8 +291,9 @@ def _divisibility(ring: Ring, points: tuple, divisor_sets: list) -> tuple:
     for divisors in divisor_sets:
         members = [index[c.rep] for c in divisors]
         tried = [points[k].rep for k in sorted((k for k in members if k in rank), key=rank.get)]
-        fresh = (v for v in members if steps[v] is None)
-        for v in sorted(fresh, key=lambda i: ring.sort_key(points[i].rep)):
+        for v in members:
+            if steps[v] is not None:
+                continue
             v_rep = points[v].rep
             for q in tried:
                 w = ring.divide(v_rep, q)

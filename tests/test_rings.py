@@ -283,6 +283,24 @@ def test_divisor_classes_against_oracle(ring_elem):
             ring.divisor_classes(e)
 
 
+@given(RING_ELEMENTS)
+@example((G, G.product([Gauss(1, 1)] * 5 + [Gauss(3, 0)])))
+@example((F3, F3.parse("x^6+2x^5+x^4")))  # x^4 (x+1)^2
+@example((V3, V3.element(9)))
+@example((Z, 2**6 * 3**3 * 5))
+@example((S5, Root5(6, 0)))
+@settings(max_examples=150, deadline=None)
+def test_divisor_list_holds_each_class_once_after_its_divisors(ring_elem):
+    # the build walks each listing as it comes, so no class may come before
+    # one of its divisors; two classes that divide each other are one class
+    ring, e = ring_elem
+    listed = ring.divisor_list(e)
+    assert len(set(listed)) == len(listed)
+    assert set(listed) == ring.divisor_classes(e) == divisor_classes_oracle(ring, e)
+    for i, c in enumerate(listed):
+        assert not any(ring.divides(c.rep, d.rep) for d in listed[:i]), (ring.name, e, c.text)
+
+
 def test_over_cap_listing_is_refused_before_any_class_is_made(monkeypatch):
     # every listing is held to the cap, a library call without a fragment
     # too; in a UFD the count follows from the factor exponents, and the
@@ -516,6 +534,9 @@ F13 = make_ring("fp", 13)
 # the split, five of them linear
 SPLIT13 = "x^9+8x^8+7x^7+12x^6+10x^5+x^4+6x^3+6x^2+10x+10"
 TWELVE_LINEAR = F17.product(F17.poly([-s, 1]) for s in range(1, 13))
+# without a root in F_17, so factoring goes on to Berlekamp: (x^2+3)(x^2+5),
+# and an irreducible
+ROOT_FREE_QUARTICS = ("x^4+8x^2+15", "x^4+3x+1")
 
 
 @st.composite
@@ -541,6 +562,8 @@ def fp_factor_cases(draw):
 @given(fp_factor_cases())
 @example((F17, TWELVE_LINEAR))
 @example((F13, F13.parse(SPLIT13)))
+@example((F17, F17.parse(ROOT_FREE_QUARTICS[0])))
+@example((F17, F17.parse(ROOT_FREE_QUARTICS[1])))
 @settings(max_examples=300, deadline=None)
 def test_fp_factor_against_sympy(ring_elem):
     ring, e = ring_elem
@@ -606,6 +629,8 @@ def test_fp_primitives_against_galoistools(case):
 
 
 @given(st.one_of(fp_factor_cases(), FP_LARGE_ELEMENTS))
+@example((F17, F17.parse(ROOT_FREE_QUARTICS[0])))
+@example((F17, F17.parse(ROOT_FREE_QUARTICS[1])))
 @settings(max_examples=200, deadline=None)
 def test_fp_irreducible_against_rabin(ring_elem):
     ring, e = ring_elem
@@ -629,7 +654,9 @@ def test_zs5_listing_solves_only_norms_up_to_the_square_root(monkeypatch):
 
 
 def test_fp_split_stops_once_the_factor_degrees_add_up(monkeypatch):
-    # scanning every s on every factor, linear ones included, took 79 gcds
+    # scanning every s on every factor, linear ones included, took 79 gcds,
+    # and Berlekamp's split that stops took 28; roots find the five linear
+    # factors now, and the quadratic left needs no gcd
     calls = []
     gcd = PolynomialRing._gcd
     monkeypatch.setattr(
@@ -648,7 +675,16 @@ def test_a_linear_polynomial_is_irreducible_without_berlekamp(monkeypatch):
     )
     assert F17.is_irreducible(F17.parse("x+3"))
     assert [c.text for c in F17.factor(F17.parse("5x+15"))] == ["x+3"]
+    # every linear factor is a root, and a root-free rest of degree 2 is
+    # irreducible; the split of SPLIT13 took one Berlekamp call
+    assert [c.rep for c in F17.factor(TWELVE_LINEAR)] == [
+        F17.poly([-s, 1]) for s in range(12, 0, -1)
+    ]
+    assert len(F13.factor(F13.parse(SPLIT13))) == 8
     assert calls == []
+    # a root-free rest of degree 4 still goes to Berlekamp
+    assert [c.text for c in F17.factor(F17.parse(ROOT_FREE_QUARTICS[0]))] == ["x^2+3", "x^2+5"]
+    assert len(calls) == 1
 
 
 def test_zs5_factor_enumerates_divisors_once(monkeypatch):

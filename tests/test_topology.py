@@ -167,8 +167,24 @@ def test_build_divides_once_per_composite_point(monkeypatch, ring, seed):
     calls = []
     divide = ring.divide
     monkeypatch.setattr(ring, "divide", lambda numer, denom: calls.append(1) or divide(numer, denom))
-    _divisibility(ring, points, [set(points)])
+    _divisibility(ring, points, [sorted(points, key=ring.class_sort_key)])
     assert len(calls) < 2 * len(points)
+
+
+@pytest.mark.parametrize(
+    "ring, seed",
+    [(Z, 720720), (G, Gauss(60, 0)), (F2, F2.parse("x^8+x^7+x^3+x")), (V2, PPow(2, 64))],
+)
+def test_build_walks_each_listing_without_sorting_it(monkeypatch, ring, seed):
+    # a UFD lists every divisor before its multiples, so the walk calls no
+    # sort_key; the one call orders the seeds.  The earlier walk sorted
+    # every point of the listing by it
+    seed = ring.canonical_class(seed)
+    calls = []
+    sort_key = ring.sort_key
+    monkeypatch.setattr(ring, "sort_key", lambda e: calls.append(e) or sort_key(e))
+    f = build_fragment(ring, [seed])
+    assert len(f) > 1 and calls == [seed.rep]
 
 
 def test_build_divisions_grow_linearly_with_irreducible_seeds(monkeypatch):
@@ -207,8 +223,8 @@ def test_build_lists_each_maximal_seed_once(monkeypatch, ring, seeds, listed):
     seeds = [ring.canonical_class(s) for s in seeds]
     union = set().union(*(ring.divisor_classes(s.rep) for s in seeds))
     calls = []
-    divisor_classes = ring.divisor_classes
-    monkeypatch.setattr(ring, "divisor_classes", lambda a: calls.append(a) or divisor_classes(a))
+    divisor_list = ring.divisor_list
+    monkeypatch.setattr(ring, "divisor_list", lambda a: calls.append(a) or divisor_list(a))
     f = build_fragment(ring, seeds)
     assert calls == listed
     assert set(f.points) == union and f.seeds == tuple(seeds)
@@ -374,8 +390,8 @@ def test_union_is_refused_at_the_first_seed_past_the_cap(monkeypatch):
     # 43243200, so k seeds list 671 + 672*k, past the cap at the sixth
     seeds = [Z.canonical_class(43243200 * q) for q in range(17, 3000) if is_prime(q)][:200]
     calls = []
-    divisor_classes = Z.divisor_classes
-    monkeypatch.setattr(Z, "divisor_classes", lambda a: calls.append(a) or divisor_classes(a))
+    divisor_list = Z.divisor_list
+    monkeypatch.setattr(Z, "divisor_list", lambda a: calls.append(a) or divisor_list(a))
     with pytest.raises(FragmentTooLarge, match="^4703 points exceeds the cap 4096$"):
         build_fragment(Z, seeds)
     assert len(calls) == 6
