@@ -64,7 +64,7 @@ def check_t0(fragment: Fragment) -> CheckReport:
     """
     pts = fragment.points
     first = {}
-    pairs = ((first.setdefault(col, j), j) for j, col in enumerate(fragment._cols))
+    pairs = ((first.setdefault(col, j), j) for j, col in enumerate(fragment.cols))
     clash = min((ij for ij in pairs if ij[0] != ij[1]), default=None)
     if clash is not None:
         return CheckReport(
@@ -122,7 +122,7 @@ def _irreducible_point(fragment: Fragment, j: int) -> bool:
     # another divisor u in the column with v/u a non-unit proves v = u * (v/u)
     # reducible by one exact division; only the rest go to the ring's test
     ring, v = fragment.ring, fragment.points[j].rep
-    others = fragment._cols[j] & ~(1 << j)
+    others = fragment.cols[j] & ~(1 << j)
     w = ring.divide(v, fragment.points[(others & -others).bit_length() - 1].rep) if others else None
     return (w is None or ring.is_unit(w)) and ring.is_irreducible(v)
 
@@ -163,7 +163,7 @@ def check_nested(fragment: Fragment) -> CheckReport:
     """
     pts = fragment.points
     valuation = fragment.ring.is_valuation
-    for i, (row, col) in enumerate(zip(fragment._rows, fragment._cols)):
+    for i, (row, col) in enumerate(zip(fragment.rows, fragment.cols)):
         apart = ~(row | col) & fragment.full_bits
         if apart:
             j = (apart & -apart).bit_length() - 1

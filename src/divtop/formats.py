@@ -86,7 +86,7 @@ def fragment_to_dot(fragment: Fragment) -> str:
     for t in texts:
         lines.append(f'  "{t}";')
     by_rank: dict = {}
-    for t, col in zip(texts, fragment._cols):
+    for t, col in zip(texts, fragment.cols):
         by_rank.setdefault(col.bit_count(), []).append(t)
     for rank in sorted(by_rank):
         row = " ".join(f'"{t}";' for t in by_rank[rank])

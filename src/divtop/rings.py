@@ -717,13 +717,14 @@ class PolynomialRing(Ring):
         Q is x^(p*i) mod f; its dimension is the number of factors, and every
         h dividing f is the product of gcd(h, v - s) over s in F_p."""
         p, n = self.p, f.degree
-        xp = self._rem(Poly(p, (0,) * p + (1,)), f)
-        cols, row = [[0] * n for _ in range(n)], self.one()
-        for i in range(n):  # cols is (Q - I) transposed
+        rows = [self.one(), self._rem(Poly(p, (0,) * p + (1,)), f)]
+        while len(rows) < n:
+            rows.append(self._rem(self.mul(rows[-1], rows[1]), f))
+        cols = [[0] * n for _ in range(n)]
+        for i, row in enumerate(rows[:n]):  # cols is (Q - I) transposed
             for j, c in enumerate(row.coeffs):
                 cols[j][i] = c
             cols[i][i] = (cols[i][i] - 1) % p
-            row = self._rem(self.mul(row, xp), f)
         pivots = []  # Gauss-Jordan elimination; pivots[r] is row r's column
         for j in range(n):
             r = len(pivots)

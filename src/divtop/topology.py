@@ -10,6 +10,7 @@ fragment's (deterministically ordered) point list.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -79,25 +80,55 @@ class PointSet:
 
 
 class Fragment:
-    """Divisor-closed point list plus its divisibility matrix.
+    """Divisor-closed point list plus its divisibility relation.
 
-    ``col(j)`` masks the divisors of point j (the basic open), ``row(i)``
+    ``cols[j]`` masks the divisors of point j (the basic open), ``rows[i]``
     masks the multiples of point i (the closure of the singleton).  Both are
-    reflexive.  ``covers`` lists the covering pairs (i, j) in any order;
-    ``covering_pairs()`` sorts them.  Instances are immutable once built.
+    reflexive.  ``covers`` lists the covering pairs (i, j), every pair into
+    a point before every pair out of it, as the build records them;
+    ``covering_pairs()`` sorts them.  Each table is computed once, on its
+    first read: a fragment built from covers alone derives its columns,
+    rows and point index from them, so an export that reads only the
+    covering pairs derives none.
     """
 
     def __init__(
-        self, ring: Ring, points: tuple, cols: tuple, rows: tuple, covers: tuple, seeds: tuple
+        self, ring: Ring, points: tuple, cols: tuple | None, rows: tuple | None,
+        covers: tuple, seeds: tuple,
     ):
         self.ring = ring
         self.points = points
         self.seeds = seeds
-        self._cols = cols
-        self._rows = rows
         self._covers = covers
-        self._index = {c: i for i, c in enumerate(points)}
+        # explicit tables are kept as given, even when they disagree with
+        # the covers; only missing ones are derived
+        if cols is not None:
+            self.cols = cols
+        if rows is not None:
+            self.rows = rows
         self.full_bits = (1 << len(points)) - 1
+
+    @cached_property
+    def cols(self) -> tuple:
+        # the covers into u come before every cover out of u (walk order),
+        # so cols[u] is complete before it is merged into cols[v]
+        cols = [1 << i for i in range(len(self.points))]
+        for u, v in self._covers:
+            cols[v] |= cols[u]
+        return tuple(cols)
+
+    @cached_property
+    def rows(self) -> tuple:
+        # the same order read backwards completes rows[v] before it is
+        # merged into rows[u]
+        rows = [1 << i for i in range(len(self.points))]
+        for u, v in reversed(self._covers):
+            rows[u] |= rows[v]
+        return tuple(rows)
+
+    @cached_property
+    def _index(self) -> dict:
+        return {c: i for i, c in enumerate(self.points)}
 
     def __len__(self) -> int:
         return len(self.points)
@@ -149,16 +180,16 @@ class Fragment:
 
     def basic_open(self, p: ClassId) -> PointSet:
         """In-fragment divisors of p: also the smallest open containing p."""
-        return PointSet(self, self._cols[self.index_of(p)])
+        return PointSet(self, self.cols[self.index_of(p)])
 
     def isolated(self) -> PointSet:
         """Points whose basic open is the point alone."""
-        return PointSet(self, sum(1 << j for j, col in enumerate(self._cols)
+        return PointSet(self, sum(1 << j for j, col in enumerate(self.cols)
                                   if col.bit_count() == 1 and col.bit_length() == j + 1))
 
     def specializes(self, p: ClassId, q: ClassId) -> bool:
         """True when q lies in the closure of {p}, i.e. p divides q."""
-        return bool(self._rows[self.index_of(p)] >> self.index_of(q) & 1)
+        return bool(self.rows[self.index_of(p)] >> self.index_of(q) & 1)
 
     def is_open(self, s: PointSet) -> bool:
         return self.interior(s) == s
@@ -170,14 +201,14 @@ class Fragment:
         self.claim(s)
         out = 0
         for i in _iter_bits(s.bits):
-            out |= self._rows[i]
+            out |= self.rows[i]
         return PointSet(self, out)
 
     def interior(self, s: PointSet) -> PointSet:
         self.claim(s)
         out = 0
         for j in _iter_bits(s.bits):
-            if self._cols[j] & ~s.bits == 0:
+            if self.cols[j] & ~s.bits == 0:
                 out |= 1 << j
         return PointSet(self, out)
 
@@ -191,7 +222,7 @@ class Fragment:
             )
         # process points so that divisors come first; then a point may join
         # only when its whole basic open is already in
-        order = sorted(range(n), key=lambda j: (self._cols[j].bit_count(), j))
+        order = sorted(range(n), key=lambda j: (self.cols[j].bit_count(), j))
 
         def rec(k: int, bits: int) -> Iterator[int]:
             if k == n:
@@ -199,7 +230,7 @@ class Fragment:
                 return
             j = order[k]
             yield from rec(k + 1, bits)
-            if self._cols[j] & ~(bits | 1 << j) == 0:
+            if self.cols[j] & ~(bits | 1 << j) == 0:
                 yield from rec(k + 1, bits | 1 << j)
 
         for bits in rec(0, 0):
@@ -241,46 +272,48 @@ def build_fragment(ring: Ring, seeds: Iterable[ClassId]) -> Fragment:
             if len(classes) > POINT_CAP:
                 raise FragmentTooLarge(len(classes), POINT_CAP)
     points = tuple(sorted(classes, key=lambda c: c.text))
-    cols, rows, covers = _divisibility(ring, points, divisor_sets)
-    return Fragment(ring, points, cols, rows, covers, seeds)
+    return Fragment(ring, points, None, None, _divisibility(ring, points, divisor_sets), seeds)
 
 
 def _divisibility(ring: Ring, points: tuple, divisor_sets: list) -> tuple:
-    """Columns, rows and covering pairs (in walk order) of the union of
-    ``divisor_sets``, listed in ``points``.  Each set is divisor-closed and
-    lists every point after all of its divisors, as ``Ring.divisor_list``
-    does.
+    """Covering pairs, in walk order, of the union of ``divisor_sets``,
+    listed in ``points``.  Each set is divisor-closed and lists every point
+    after all of its divisors, as ``Ring.divisor_list`` does.  A cover (u, v)
+    is recorded when v is walked, after every cover into u; ``Fragment``
+    derives its columns and rows from that order.
 
     In an atomic domain every proper divisor of v divides v/q for some
     irreducible q dividing v, and a cover is exactly a step v/q -> v.  The
     sets are walked in order, and the points of a set not walked before go
     in the order the set lists them, so every irreducible point (atom) and
     every v/q is walked before v.  Every atom dividing v lies in the set
-    being walked, so v tries only that set's atoms: first those found in
-    earlier sets, then those found in this one, which is the order they were
-    all found in.  A point none of them divides is an atom itself.  The
-    proof below needs only these two things: each set lists a point after
-    every divisor of it, and atoms are tried in the one order they were
-    found in.
+    being walked, so v tries only that set's atoms.  A point none of them
+    divides is an atom itself.  The proof below needs only these two things:
+    every atom dividing v is found before v, and the ring tries its atoms in
+    one fixed order.  A UFD tries the newest found first: a running product
+    d*f^k of a listing is walked after every atom dividing it, the newest of
+    them is f, and so its first trial succeeds.  zs5 tries every atom
+    anyway, and keeps the order they were found in.
 
     The atoms are tried in order until the first, q_k, divides v; u = v/q_k
     is the one quotient computed by division, and ``times[k][u] = v``
     records that first step.  Every other atom q dividing u gives
     v/q = (u/q)*q_k, an earlier point whose first atom is q_k too (it divides
-    v, and q_k divides it, and every set tries its atoms in the one order
-    they were found in), so it is read from ``times[k]``.  In a UFD an atom
-    is prime, so q | v means q | u or q ~ q_k and nothing is left to find: a
-    composite point costs one successful division plus the failed trials
-    before it.  Without unique factorization an atom after q_k can divide v
-    and neither factor (2 divides 6 = (1+s)(1-s) in Z[sqrt(-5)]), so the
-    atoms not found yet are still tried by division.
+    v, and q_k divides it, and every set tries its atoms in the one order),
+    so it is read from ``times[k]``.  In a UFD an atom is prime, so q | v
+    means q | u or q ~ q_k and nothing is left to find: a composite point
+    costs one successful division plus the failed trials before it, and in
+    a single listing walked as made it fails none.  Without unique
+    factorization an atom after q_k can divide v and neither factor (2
+    divides 6 = (1+s)(1-s) in Z[sqrt(-5)]), so the atoms not found yet are
+    still tried by division.
     """
     n = len(points)
     index = {c.rep: i for i, c in enumerate(points)}
+    newest_first = ring.is_ufd
     # rank[k] orders atom k (named by its point index, as in times and
     # steps) among the atoms found so far
     rank = {}
-    cols = [1 << i for i in range(n)]
     covers = []
     # times[k] maps u to the point whose first step is u -> u * q_k; n stands
     # for the unit class, so an atom's own first step is n -> atom
@@ -290,7 +323,8 @@ def _divisibility(ring: Ring, points: tuple, divisor_sets: list) -> tuple:
     steps = [None] * n
     for divisors in divisor_sets:
         members = [index[c.rep] for c in divisors]
-        tried = [points[k].rep for k in sorted((k for k in members if k in rank), key=rank.get)]
+        known = sorted((k for k in members if k in rank), key=rank.get, reverse=newest_first)
+        tried = [points[k].rep for k in known]
         for v in members:
             if steps[v] is not None:
                 continue
@@ -300,7 +334,7 @@ def _divisibility(ring: Ring, points: tuple, divisor_sets: list) -> tuple:
                 if w is not None:
                     break
             else:
-                tried.append(v_rep)
+                tried.insert(0 if newest_first else len(tried), v_rep)
                 rank[v] = len(rank)
                 times[v] = {n: v}
                 steps[v] = [(v, n)]
@@ -319,14 +353,6 @@ def _divisibility(ring: Ring, points: tuple, divisor_sets: list) -> tuple:
                     if index[q] not in found and (w := ring.divide(v_rep, q)) is not None:
                         step.append((index[q], index[ring.canonical(w)]))
             steps[v] = step
-            col = cols[v]
             for _, x in step:
                 covers.append((x, v))
-                col |= cols[x]
-            cols[v] = col
-    # the covers into v are recorded before every cover out of v, so walking
-    # the list backwards completes rows[v] before it is merged into rows[u]
-    rows = [1 << i for i in range(n)]
-    for u, v in reversed(covers):
-        rows[u] |= rows[v]
-    return tuple(cols), tuple(rows), tuple(covers)
+    return tuple(covers)

@@ -171,7 +171,7 @@ def test_isolated_asks_the_ring_only_about_isolated_points(monkeypatch):
         r = C.isolated_points(f)
         monkeypatch.undo()
         assert r.verdict == "holds"
-        assert asked == [p.rep for p, col in zip(f.points, f._cols) if col.bit_count() == 1]
+        assert asked == [p.rep for p, col in zip(f.points, f.cols) if col.bit_count() == 1]
         asked.clear()
 
 

@@ -24,6 +24,7 @@ from divtop.formats import (
     ring_from_descriptor,
 )
 from divtop import checks as C
+from divtop import cli
 from divtop.rings import RING_TAGS, RINGS, Gauss, Poly, PPow, Ring, Root5, make_ring
 from divtop.topology import build_fragment
 
@@ -540,6 +541,28 @@ def test_dot_edges_match_bruteforce_reduction():
 def test_dot_rank_groups():
     dot = fragment_to_dot(zfrag(12))
     assert '{ rank=same; "2"; "3"; }' in dot
+
+
+def test_exports_derive_only_the_tables_they_read(monkeypatch, capsys):
+    # a fragment derives its columns, rows and point index on first read.
+    # JSON, text and the read-back read only the covering pairs; DOT ranks
+    # its nodes by column; a check reads all three
+    def derived(f):
+        return {name for name in ("cols", "rows", "_index") if name in vars(f)}
+
+    made = []
+    monkeypatch.setattr(
+        cli, "build_fragment", lambda ring, seeds: made.append(build_fragment(ring, seeds)) or made[-1]
+    )
+    for out, want in (("json", set()), ("text", set()), ("dot", {"cols"})):
+        assert cli.main(["fragment", "--ring", "z", "--seeds", "360,77", "--out", out]) == 0
+        assert derived(made[-1]) == want, out
+    doc = capsys.readouterr().out.splitlines()[0]
+    assert fragment_to_json(made[0]) == doc and derived(made[0]) == set()
+    back = fragment_from_json(doc)
+    assert derived(back) == set()
+    assert C.check_t0(back).verdict == "holds"
+    assert derived(back) == {"cols", "rows", "_index"}
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_add, gf_div, gf_mul
+from sympy.polys.galoistools import gf_add, gf_div, gf_irreducible_p, gf_mul
 
 from divtop.errors import (
     CapabilityMissing,
@@ -665,6 +665,25 @@ def test_fp_split_stops_once_the_factor_degrees_add_up(monkeypatch):
     factors = [c.text for c in F13.factor(F13.parse(SPLIT13))]
     assert factors == ["x+5", "x+5", "x+6", "x+6", "x+7", "x+9", "x+10", "x^2+12x+2"]
     assert len(calls) <= 28
+
+
+def test_berlekamp_builds_only_the_rows_it_reads(monkeypatch):
+    # row 0 of Q is 1 and row 1 is x^p mod f, one remainder; rows 2..n-1
+    # cost one mul and one remainder each, so a degree-7 f takes 5 muls and
+    # 6 remainders.  The earlier loop also multiplied 1 by x^p and built a
+    # row n, 7 and 8
+    f = F13.parse("x^7+10x+1")
+    assert gf_irreducible_p([1, 0, 0, 0, 0, 0, 10, 1], 13, ZZ)
+    calls = []
+    for name in ("mul", "_rem"):
+        method = getattr(PolynomialRing, name)
+        monkeypatch.setattr(
+            PolynomialRing,
+            name,
+            lambda self, a, b, name=name, method=method: calls.append(name) or method(self, a, b),
+        )
+    assert F13._berlekamp(f) == [f]
+    assert calls.count("mul") == 5 and calls.count("_rem") == 6
 
 
 def test_a_linear_polynomial_is_irreducible_without_berlekamp(monkeypatch):
