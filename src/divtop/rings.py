@@ -236,10 +236,6 @@ class Ring:
     def one(self):
         raise NotImplementedError
 
-    def units(self) -> tuple:
-        """All units, for rings where that set is finite."""
-        raise NotImplementedError
-
     def mul(self, a, b):
         raise NotImplementedError
 
@@ -363,20 +359,13 @@ class Ring:
         reps = sorted(self._factor_reps(a), key=self.sort_key)
         return tuple(self._class(r) for r in reps)
 
-    def _operand_gcd(self, a, b):
+    def gcd_class(self, a, b) -> Optional[ClassId]:
         if not self.has_gcd:
             raise CapabilityMissing(f"{self.name} has no gcd")
         self._require_operand(a)
         self._require_operand(b)
-        return self._gcd(a, b)
-
-    def gcd_class(self, a, b) -> Optional[ClassId]:
-        g = self._operand_gcd(a, b)
+        g = self._gcd(a, b)
         return None if self.is_unit(g) else self._class(self.canonical(g))
-
-    def lcm_class(self, a, b) -> ClassId:
-        quot = self.divide(self.mul(a, b), self._operand_gcd(a, b))
-        return self._class(self.canonical(quot))
 
     def _check(self, e) -> None:
         """Refuse an element that carries another p (fp and valp elements do)."""
@@ -426,9 +415,6 @@ class IntegerRing(Ring):
 
     def one(self):
         return 1
-
-    def units(self):
-        return (1, -1)
 
     def mul(self, a, b):
         return a * b
@@ -494,9 +480,6 @@ class GaussianRing(Ring):
 
     def one(self):
         return Gauss(1, 0)
-
-    def units(self):
-        return (Gauss(1, 0), Gauss(0, 1), Gauss(-1, 0), Gauss(0, -1))
 
     def mul(self, a, b):
         return Gauss(a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re)
@@ -597,9 +580,6 @@ class PolynomialRing(Ring):
 
     def one(self):
         return Poly(self.p, (1,))
-
-    def units(self):
-        return tuple(Poly(self.p, (c,)) for c in range(1, self.p))
 
     def mul(self, a, b):
         self._check(a)
@@ -790,9 +770,6 @@ class RootMinus5Ring(Ring):
     def one(self):
         return Root5(1, 0)
 
-    def units(self):
-        return (Root5(1, 0), Root5(-1, 0))
-
     def mul(self, a, b):
         return Root5(a.x * b.x - 5 * a.y * b.y, a.x * b.y + a.y * b.x)
 
@@ -888,11 +865,6 @@ class PPowerRing(Ring):
     K_MAX = 4096
     P_MAX = 10**120  # as z's VALUE_MAX
 
-    def element(self, k: int) -> PPow:
-        if k < 0:
-            raise ParameterError("valuation exponent must be >= 0")
-        return PPow(self.p, k)
-
     def is_zero(self, e) -> bool:
         return False  # zero has no representation here
 
@@ -901,9 +873,6 @@ class PPowerRing(Ring):
 
     def one(self):
         return PPow(self.p, 0)
-
-    def units(self):
-        return (PPow(self.p, 0),)
 
     def mul(self, a, b):
         self._check(a)

@@ -64,16 +64,9 @@ class PointSet:
         self.fragment.claim(other)
         return PointSet(self.fragment, self.bits & other.bits)
 
-    def __or__(self, other: "PointSet") -> "PointSet":
-        self.fragment.claim(other)
-        return PointSet(self.fragment, self.bits | other.bits)
-
     def __le__(self, other: "PointSet") -> bool:
         self.fragment.claim(other)
         return self.bits & ~other.bits == 0
-
-    def complement(self) -> "PointSet":
-        return PointSet(self.fragment, ~self.bits & self.fragment.full_bits)
 
     def __repr__(self) -> str:
         return "{" + ", ".join(self.texts()) + "}"
@@ -86,26 +79,16 @@ class Fragment:
     masks the multiples of point i (the closure of the singleton).  Both are
     reflexive.  ``covers`` lists the covering pairs (i, j), every pair into
     a point before every pair out of it, as the build records them;
-    ``covering_pairs()`` sorts them.  Each table is computed once, on its
-    first read: a fragment built from covers alone derives its columns,
-    rows and point index from them, so an export that reads only the
-    covering pairs derives none.
+    ``covering_pairs()`` sorts them.  Every table (the columns, the rows and
+    the point index) is derived from the covers on its first read and kept,
+    so an export that reads only the covering pairs derives none.
     """
 
-    def __init__(
-        self, ring: Ring, points: tuple, cols: tuple | None, rows: tuple | None,
-        covers: tuple, seeds: tuple,
-    ):
+    def __init__(self, ring: Ring, points: tuple, covers: tuple, seeds: tuple):
         self.ring = ring
         self.points = points
         self.seeds = seeds
         self._covers = covers
-        # explicit tables are kept as given, even when they disagree with
-        # the covers; only missing ones are derived
-        if cols is not None:
-            self.cols = cols
-        if rows is not None:
-            self.rows = rows
         self.full_bits = (1 << len(points)) - 1
 
     @cached_property
@@ -170,9 +153,6 @@ class Fragment:
             bits |= 1 << self.index_of(c)
         return PointSet(self, bits)
 
-    def empty_set(self) -> PointSet:
-        return PointSet(self, 0)
-
     def full_set(self) -> PointSet:
         return PointSet(self, self.full_bits)
 
@@ -191,9 +171,6 @@ class Fragment:
         """True when q lies in the closure of {p}, i.e. p divides q."""
         return bool(self.rows[self.index_of(p)] >> self.index_of(q) & 1)
 
-    def is_open(self, s: PointSet) -> bool:
-        return self.interior(s) == s
-
     def is_closed(self, s: PointSet) -> bool:
         return self.closure(s) == s
 
@@ -202,14 +179,6 @@ class Fragment:
         out = 0
         for i in _iter_bits(s.bits):
             out |= self.rows[i]
-        return PointSet(self, out)
-
-    def interior(self, s: PointSet) -> PointSet:
-        self.claim(s)
-        out = 0
-        for j in _iter_bits(s.bits):
-            if self.cols[j] & ~s.bits == 0:
-                out |= 1 << j
         return PointSet(self, out)
 
     def enumerate_opens(self) -> Iterator[PointSet]:
@@ -272,7 +241,7 @@ def build_fragment(ring: Ring, seeds: Iterable[ClassId]) -> Fragment:
             if len(classes) > POINT_CAP:
                 raise FragmentTooLarge(len(classes), POINT_CAP)
     points = tuple(sorted(classes, key=lambda c: c.text))
-    return Fragment(ring, points, None, None, _divisibility(ring, points, divisor_sets), seeds)
+    return Fragment(ring, points, _divisibility(ring, points, divisor_sets), seeds)
 
 
 def _divisibility(ring: Ring, points: tuple, divisor_sets: list) -> tuple:

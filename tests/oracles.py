@@ -16,7 +16,10 @@ oracle, which divides each point by every earlier irreducible point, is the
 earlier build of the quotient-table build.  The every-bit scan of a point
 set is the earlier ``PointSet.classes``, which now walks only the set bits.
 The exponent-box oracle calls no ring at all: it reads a UFD fragment off
-the componentwise order on exponent vectors.
+the componentwise order on exponent vectors.  The unit lists are written
+out by hand, and the closure, interior and open-set oracles of a point set
+divide its fragment's points directly instead of reading the fragment's
+tables.
 """
 
 from itertools import combinations, product
@@ -28,7 +31,8 @@ from sympy.polys.galoistools import gf_factor
 from divtop import checks as C
 from divtop.checks import FAILS, HOLDS, WITNESS, CheckReport
 from divtop.errors import ZeroElement
-from divtop.rings import Gauss, Poly, Root5
+from divtop.rings import Gauss, Poly, PPow, Root5
+from divtop.topology import PointSet
 
 
 def int_divisors(n: int) -> list:
@@ -81,10 +85,26 @@ def conj_product_divide(ring, numer, denom):
     return None
 
 
+def units(ring) -> tuple:
+    """Every unit of a ring with finitely many, written out; on valp, whose
+    units are all associates of 1, the one unit p^0."""
+    if ring.tag == "z":
+        return (1, -1)
+    if ring.tag == "gauss":
+        return (Gauss(1, 0), Gauss(0, 1), Gauss(-1, 0), Gauss(0, -1))
+    if ring.tag == "fp":
+        return tuple(Poly(ring.p, (c,)) for c in range(1, ring.p))
+    if ring.tag == "zs5":
+        return (Root5(1, 0), Root5(-1, 0))
+    if ring.tag == "valp":
+        return (PPow(ring.p, 0),)
+    raise ValueError(ring.tag)
+
+
 def gauss_canonical_by_units(ring, e):
     """The first-quadrant associate (re > 0, im >= 0) found by trying every
     unit: the library's earlier canonical associate for gauss."""
-    for u in ring.units():
+    for u in units(ring):
         c = ring.mul(u, e)
         if c.re > 0 and c.im >= 0:
             return c
@@ -173,7 +193,7 @@ def divisor_classes_oracle(ring, a) -> set:
     if ring.tag == "fp":
         return poly_divisor_classes(ring, a)
     if ring.tag == "valp":
-        return {ring.canonical_class(ring.element(j)) for j in range(1, a.k + 1)}
+        return {ring.canonical_class(PPow(ring.p, j)) for j in range(1, a.k + 1)}
     raise ValueError(ring.tag)
 
 
@@ -217,6 +237,36 @@ def point_set_classes_oracle(s) -> tuple:
     order."""
     pts = s.fragment.points
     return tuple(pts[i] for i in range(len(pts)) if s.bits >> i & 1)
+
+
+def complement(s) -> PointSet:
+    """The points of s's fragment that are not in s."""
+    return PointSet(s.fragment, ~s.bits & s.fragment.full_bits)
+
+
+def closure_oracle(s) -> PointSet:
+    """The points that some point of s divides: the up-set of s."""
+    ring, pts = s.fragment.ring, s.fragment.points
+    members = [pts[i].rep for i in range(len(pts)) if s.bits >> i & 1]
+    return PointSet(s.fragment, sum(
+        1 << j for j, q in enumerate(pts) if any(ring.divides(p, q.rep) for p in members)
+    ))
+
+
+def interior_oracle(s) -> PointSet:
+    """The points of s whose every divisor in the fragment lies in s: the
+    largest open set inside s."""
+    ring, pts = s.fragment.ring, s.fragment.points
+    return PointSet(s.fragment, sum(
+        1 << j for j, q in enumerate(pts)
+        if s.bits >> j & 1
+        and all(s.bits >> i & 1 for i, p in enumerate(pts) if ring.divides(p.rep, q.rep))
+    ))
+
+
+def is_open_oracle(s) -> bool:
+    """True when s holds every divisor in the fragment of each of its points."""
+    return interior_oracle(s) == s
 
 
 def divisibility_oracle(ring, points) -> tuple:

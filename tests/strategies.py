@@ -2,7 +2,7 @@
 
 from hypothesis import strategies as st
 
-from divtop.rings import Gauss, Root5, make_ring
+from divtop.rings import Gauss, PPow, Root5, make_ring
 
 Z = make_ring("z")
 G = make_ring("gauss")
@@ -47,7 +47,7 @@ ELEMENTS = {
         )
         for ring in (F2, F3)
     },
-    V3: _elements(V3, st.integers(1, 12).map(V3.element), [V3.element(1), V3.element(2)], 6),
+    V3: _elements(V3, st.integers(1, 12).map(lambda k: PPow(3, k)), [PPow(3, 1), PPow(3, 2)], 6),
 }
 
 # (ring, element) over all five rings
@@ -74,7 +74,7 @@ UFD_ATOMS = {
     G: [Gauss(1, 1), Gauss(-1, 2), Gauss(1, 2), Gauss(0, 3), Gauss(3, 2)],
     F2: [F2.parse(t) for t in ("x", "x+1", "x^2+x+1", "x^3+x+1")],
     F5: [F5.parse(t) for t in ("x", "x+1", "2x+1", "x^2+2")],
-    V3: [V3.element(1)],
+    V3: [PPow(3, 1)],
 }
 
 

@@ -18,9 +18,9 @@ from divtop.cli import main as cli_main
 from divtop.errors import SizeGuard
 from divtop.primes import prime_stream
 from divtop.rings import Gauss, PPow, Root5, make_ring
-from divtop.topology import build_fragment
+from divtop.topology import PointSet, build_fragment
 
-from oracles import int_is_prime
+from oracles import complement, int_is_prime
 
 Z = make_ring("z")
 G = make_ring("gauss")
@@ -68,11 +68,11 @@ def test_criterion_01_closure_oracle_equivalence():
                 multiples = {q for q in f.points if q.rep % p.rep == 0}
                 assert set(cl.classes()) == multiples
                 if opens is not None:
-                    union = f.empty_set()
+                    union = 0
                     for o in opens:
                         if p not in o:
-                            union = union | o
-                    assert cl == union.complement()
+                            union |= o.bits
+                    assert cl == complement(PointSet(f, union))
 
 
 def test_criterion_02_isolated_iff_irreducible():
@@ -119,14 +119,6 @@ def test_criterion_04_gcd_basis_law():
                 assert inter == frozenset()
             else:
                 assert inter == Z.divisor_classes(g.rep)
-        for _ in range(100):
-            c = rng.randint(4, 10**4)
-            divs = sorted(Z.divisor_classes(c), key=Z.class_sort_key)
-            a = rng.choice(divs).rep
-            b = rng.choice(divs).rep
-            l = Z.lcm_class(a, b)
-            assert Z.divides(l.rep, c)
-            assert Z.divisor_classes(l.rep) <= Z.divisor_classes(c)
         r = C.basis_intersection(
             S5, S5.canonical_class(Root5(6, 0)), S5.canonical_class(Root5(2, 2))
         )

@@ -190,7 +190,8 @@ def test_isolated_fails_on_corrupted_columns(reps, cols, witnesses):
     n = len(reps)
     points = tuple(ClassId("z", r, str(r)) for r in reps)
     rows = tuple(sum(1 << j for j in range(n) if cols[j] >> i & 1) for i in range(n))
-    f = Fragment(Z, points, cols, rows, (), points[-1:])
+    f = Fragment(Z, points, (), points[-1:])
+    f.cols, f.rows = cols, rows
     r = C.isolated_points(f)
     assert r.verdict == "fails"
     assert r.witness_texts() == witnesses
@@ -265,7 +266,9 @@ def _preorder_fragment(n, edges):
                 rows[i] |= rows[k]
     cols = [sum(1 << i for i in range(n) if rows[i] >> j & 1) for j in range(n)]
     points = tuple(cz(k) for k in range(2, n + 2))
-    return Fragment(Z, points, tuple(cols), tuple(rows), (), points[:1])
+    f = Fragment(Z, points, (), points[:1])
+    f.cols, f.rows = tuple(cols), tuple(rows)
+    return f
 
 
 PREORDERS = st.integers(1, 7).flatmap(
