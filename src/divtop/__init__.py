@@ -2,7 +2,6 @@
 
 from .checks import (
     CheckReport,
-    basis_intersection,
     check_nested,
     check_t0,
     dense_open_check,
@@ -22,7 +21,7 @@ from .formats import (
     fragment_to_json,
     report_to_json,
 )
-from .primes import euclid_step, prime_stream
+from .primes import prime_stream
 from .rings import (
     ClassId,
     Gauss,
@@ -44,13 +43,11 @@ __all__ = [
     "Poly",
     "Ring",
     "Root5",
-    "basis_intersection",
     "build_fragment",
     "check_nested",
     "check_t0",
     "dense_open_check",
     "density_check",
-    "euclid_step",
     "fragment_from_json",
     "fragment_to_dot",
     "fragment_to_json",

@@ -15,16 +15,9 @@ from a ring, the seed classes, a chain length and the seeds' fragment.
 from __future__ import annotations
 
 from itertools import combinations
-from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional, Sequence
 
-from .errors import (
-    AssociatedInputs,
-    EmptyFamily,
-    FragmentTooLargeForEnumeration,
-    NotIrreducible,
-    ParameterError,
-)
+from .errors import ParameterError, SizeGuard
 from .rings import POINT_CAP, ClassId, Ring
 from .topology import ENUM_CAP, Fragment, PointSet, build_fragment
 
@@ -38,8 +31,8 @@ WITNESS = "witness-produced"
 class CheckReport(NamedTuple):
     check: str
     verdict: str
-    witnesses: tuple = ()
-    details: Mapping = MappingProxyType({})  # immutable, so safe to share
+    witnesses: tuple
+    details: Mapping
 
     def witness_texts(self) -> list:
         return [w.text for w in self.witnesses]
@@ -185,13 +178,6 @@ def check_nested(fragment: Fragment) -> CheckReport:
     )
 
 
-def basis_intersection(ring: Ring, a: ClassId, b: ClassId) -> CheckReport:
-    """Intersection of two basic opens: empty, a basic open, or a non-basic
-    witness set on rings without gcd."""
-    ring.claim(a, b)
-    return _gcd_intersection(ring, (a, b), 0, lambda: build_fragment(ring, [a]))
-
-
 def _gcd_intersection(ring: Ring, classes: Sequence[ClassId], n: int, fragment) -> CheckReport:
     """The gcd-intersection prop on U_a & U_b, for seeds a and b.  On a gcd
     ring, b is a again if there is one seed, and U_a & U_b is U_gcd(a, b), or
@@ -208,6 +194,7 @@ def _gcd_intersection(ring: Ring, classes: Sequence[ClassId], n: int, fragment) 
     U_b is basic.  If not, it is not: a generator g would be divisible by q1
     and q2 and divide b, so g ~ b would divide a.  So b is the first product
     that is no point of a's fragment, and the verdict below is recomputed."""
+    ring.claim(*classes)
     a, b = classes[0], classes[:2][-1]
     if ring.has_gcd:
         inter = ring.divisor_classes(a.rep) & ring.divisor_classes(b.rep)
@@ -261,9 +248,7 @@ def dense_open_check(fragment: Fragment) -> CheckReport:
     """Dense opens all contain the isolated points, and their intersection is
     dense again (one-fragment Baire echo)."""
     if len(fragment) > DENSE_OPEN_CAP:
-        raise FragmentTooLargeForEnumeration(
-            f"{len(fragment)} points exceeds the dense-open cap {DENSE_OPEN_CAP}"
-        )
+        raise SizeGuard(f"{len(fragment)} points exceeds the dense-open cap {DENSE_OPEN_CAP}")
     iso = fragment.isolated()
     full = fragment.full_set()
     dense_opens = []
@@ -325,9 +310,9 @@ def no_disjoint_nbhd_witness(
     ring.claim(a, b, c)
     for x in (a, b, c):
         if not ring.is_irreducible(x.rep):
-            raise NotIrreducible(f"{x.text} is not irreducible in {ring.name}")
+            raise ParameterError(f"{x.text} is not irreducible in {ring.name}")
     if len({a, b, c}) < 3:
-        raise AssociatedInputs("inputs must be pairwise non-associated")
+        raise ParameterError("inputs must be pairwise non-associated")
     ab = ring.mul_class(a, b)
     ac = ring.mul_class(a, c)
     separated = not ring.divides(ab.rep, ac.rep) and not ring.divides(ac.rep, ab.rep)
@@ -451,7 +436,7 @@ def maximal_basic_open(fragment: Fragment, subfamily: Sequence[ClassId]) -> Chec
     """Inclusion-maximal members of a finite family of basic opens."""
     subfamily = list(subfamily)
     if not subfamily:
-        raise EmptyFamily("subfamily of basic opens is empty")
+        raise ParameterError("subfamily of basic opens is empty")
     opens = [(p, fragment.basic_open(p)) for p in subfamily]
     maximal = {p for p, o in opens if not any(o.bits != q.bits and o <= q for _, q in opens)}
     maximal = sorted(maximal, key=fragment.index_of)

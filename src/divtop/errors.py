@@ -1,4 +1,15 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every refusal is a ``DivtopError``, and the CLI prints its message and
+exits 2.  An operand that is no class of this ring, or that the
+construction's hypotheses do not allow, raises ``ParameterError``; input
+past a size or enumeration bound ``SizeGuard``; a fragment or divisor
+listing past the point cap ``FragmentTooLarge``; element text outside the
+ring's grammar ``ElementSyntaxError``.  ``formats.fragment_from_json``
+rebuilds a fragment from its document's seeds and checks the document's
+points and edges against it; a document that is malformed or does not match
+raises ``DivtopError`` itself.
+"""
 
 
 def brief(value) -> str:
@@ -18,32 +29,16 @@ class DivtopError(Exception):
     """Base class for every error this package raises on purpose."""
 
 
-class ZeroElement(DivtopError):
-    """Operation needs a nonzero element."""
-
-
-class UnitElement(DivtopError):
-    """Operation needs a non-unit element."""
-
-
-class ZeroDivisor(DivtopError):
-    """Divisibility query with a zero left-hand side."""
-
-
-class RingMismatch(DivtopError):
-    """Operands belong to different rings."""
-
-
-class CapabilityMissing(DivtopError):
-    """The ring does not support the requested operation."""
-
-
 class ParameterError(DivtopError, ValueError):
-    """A ring, check, stream or command-line parameter is out of range."""
+    """An operand or parameter the operation does not allow: zero or a unit
+    where a class is due, a class of another ring, a point or point set of
+    another fragment, a missing or bad p, an empty family, inputs that are
+    not irreducible or not pairwise non-associated, an operation the ring
+    lacks, or a check, stream or command-line parameter out of range."""
 
 
 class SizeGuard(DivtopError):
-    """Input exceeds the ring's enumeration bounds."""
+    """Input exceeds a ring's bounds, or open-set enumeration a fragment's."""
 
 
 class FragmentTooLarge(DivtopError):
@@ -51,34 +46,6 @@ class FragmentTooLarge(DivtopError):
 
     def __init__(self, points: int, cap: int):
         super().__init__(f"{points} points exceeds the cap {cap}")
-
-
-class FragmentTooLargeForEnumeration(DivtopError):
-    """Open-set enumeration requested on a fragment above the enumeration cap."""
-
-
-class PointNotInFragment(DivtopError):
-    """A class was used with a fragment that does not contain it."""
-
-
-class FragmentMismatch(DivtopError):
-    """A point set was used with a fragment it does not belong to."""
-
-
-class EmptyFamily(DivtopError):
-    """An operation that needs a nonempty family received an empty one."""
-
-
-class NotIrreducible(DivtopError):
-    """A witness constructor needs irreducible inputs."""
-
-
-class AssociatedInputs(DivtopError):
-    """A witness constructor needs pairwise non-associated inputs."""
-
-
-class ModulusMissing(DivtopError):
-    """Ring needs a modulus parameter that was not supplied."""
 
 
 class ElementSyntaxError(DivtopError):

@@ -12,9 +12,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import (
-    AssociatedInputs, CapabilityMissing, NotIrreducible, ParameterError, SizeGuard
-)
+from .errors import ParameterError, SizeGuard
 from .rings import ClassId, Ring
 
 M_CAP = 64  # with >= 2 primes m = 1 already works; this is defensive
@@ -23,47 +21,12 @@ M_CAP = 64  # with >= 2 primes m = 1 already works; this is defensive
 def require_stream_capability(ring: Ring) -> None:
     """Refuse a ring without unique factorization or with infinitely many units."""
     if not ring.is_ufd:
-        raise CapabilityMissing(f"{ring.name} does not support the prime stream: it is not a UFD")
+        raise ParameterError(f"{ring.name} does not support the prime stream: it is not a UFD")
     if not ring.finite_units:
-        raise CapabilityMissing(
+        raise ParameterError(
             f"{ring.name} does not support the prime stream: it has infinitely many units,"
             " and the construction needs a finite unit group"
         )
-
-
-def _validate_members(ring: Ring, members: Sequence[ClassId]) -> None:
-    ring.claim(*members)
-    require_stream_capability(ring)
-    if not members:
-        raise ParameterError("prime list must be nonempty")
-    if len(set(members)) != len(members):
-        raise AssociatedInputs("prime list members must be pairwise non-associated")
-    for c in members:
-        if not ring.is_irreducible(c.rep):
-            raise NotIrreducible(f"{c.text} is not prime in {ring.name}")
-
-
-def euclid_step(ring: Ring, members: Sequence[ClassId]) -> ClassId:
-    """One growth step: returns a prime class not associated to any member."""
-    _validate_members(ring, members)
-    return _grow(ring, members)
-
-
-def _grow(ring: Ring, members: Sequence[ClassId]) -> ClassId:
-    head = members[0].rep
-    tail = ring.product(c.rep for c in members[1:])
-    power = ring.one()
-    for _ in range(M_CAP):
-        power = ring.mul(power, head)
-        x = ring.add(power, tail)
-        if not ring.is_zero(x) and not ring.is_unit(x):
-            break
-    else:
-        raise SizeGuard(f"no non-unit candidate within {M_CAP} exponent steps")
-    # the construction guarantees every current member misses x
-    for c in members:
-        assert not ring.divides(c.rep, x), f"{c.text} divides the candidate"
-    return min(ring.factor(x), key=ring.class_sort_key)
 
 
 def prime_stream(ring: Ring, start: Sequence[ClassId], count: int) -> tuple:
@@ -72,7 +35,29 @@ def prime_stream(ring: Ring, start: Sequence[ClassId], count: int) -> tuple:
     if count < 1:
         raise ParameterError("count must be >= 1")
     members = tuple(start)
-    _validate_members(ring, members)
+    ring.claim(*members)
+    require_stream_capability(ring)
+    if not members:
+        raise ParameterError("prime list must be nonempty")
+    if len(set(members)) != len(members):
+        raise ParameterError("prime list members must be pairwise non-associated")
+    for c in members:
+        if not ring.is_irreducible(c.rep):
+            raise ParameterError(f"{c.text} is not prime in {ring.name}")
+    head = members[0].rep
     for _ in range(count):
-        members += (_grow(ring, members),)
+        tail = ring.product(c.rep for c in members[1:])
+        power = ring.one()
+        for _ in range(M_CAP):
+            power = ring.mul(power, head)
+            x = ring.add(power, tail)
+            if not ring.is_zero(x) and not ring.is_unit(x):
+                break
+        else:
+            raise SizeGuard(f"no non-unit candidate within {M_CAP} exponent steps")
+        # the construction guarantees every current member misses x
+        for c in members:
+            assert not ring.divides(c.rep, x), f"{c.text} divides the candidate"
+        # factor lists the classes in sort_key order
+        members += (ring.factor(x)[0],)
     return members

@@ -27,19 +27,7 @@ from functools import reduce
 from itertools import zip_longest
 from typing import Iterable, NamedTuple, Optional
 
-from .errors import (
-    CapabilityMissing,
-    ElementSyntaxError,
-    FragmentTooLarge,
-    ModulusMissing,
-    ParameterError,
-    RingMismatch,
-    SizeGuard,
-    UnitElement,
-    ZeroDivisor,
-    ZeroElement,
-    brief,
-)
+from .errors import ElementSyntaxError, FragmentTooLarge, ParameterError, SizeGuard, brief
 from .intarith import factor, is_prime, sqrt_minus_one
 
 # most divisor classes one listing, and so one fragment, may hold
@@ -215,7 +203,7 @@ class Ring:
         if self.P_MAX is None and p is not None:
             raise ParameterError(f"p does not apply to ring {self.tag}")
         if self.P_MAX is not None and p is None:
-            raise ModulusMissing(f"ring {self.tag} needs a prime p")
+            raise ParameterError(f"ring {self.tag} needs a prime p")
         if p is not None and (type(p) is not int or p > self.P_MAX or not is_prime(p)):
             bound = _bound(self.P_MAX)
             raise ParameterError(f"ring {self.tag} needs a prime p <= {bound}, got {brief(p)}")
@@ -315,9 +303,9 @@ class Ring:
 
     def _require_operand(self, e) -> None:
         if self.is_zero(e):
-            raise ZeroElement(f"zero is not a class representative in {self.name}")
+            raise ParameterError(f"zero is not a class representative in {self.name}")
         if self.is_unit(e):
-            raise UnitElement(f"{self.fmt(e)} is a unit of {self.name}")
+            raise ParameterError(f"{self.fmt(e)} is a unit of {self.name}")
 
     def _class(self, rep) -> ClassId:
         # rep must already be canonical; Python refuses to print huge ints
@@ -333,7 +321,7 @@ class Ring:
 
     def divides(self, a, b) -> bool:
         if self.is_zero(a):
-            raise ZeroDivisor(f"zero divides nothing in {self.name}")
+            raise ParameterError(f"zero divides nothing in {self.name}")
         return self.divide(b, a) is not None
 
     def divisor_list(self, a) -> tuple:
@@ -361,7 +349,7 @@ class Ring:
 
     def gcd_class(self, a, b) -> Optional[ClassId]:
         if not self.has_gcd:
-            raise CapabilityMissing(f"{self.name} has no gcd")
+            raise ParameterError(f"{self.name} has no gcd")
         self._require_operand(a)
         self._require_operand(b)
         g = self._gcd(a, b)
@@ -370,7 +358,7 @@ class Ring:
     def _check(self, e) -> None:
         """Refuse an element that carries another p (fp and valp elements do)."""
         if e.p != self.p:
-            raise RingMismatch(f"an element of {self.tag}({e.p}) used in {self.name}")
+            raise ParameterError(f"an element of {self.tag}({e.p}) used in {self.name}")
 
     def _guard_norm(self, a) -> None:
         """Refuse a gauss or zs5 element whose norm passes ``NORM_MAX``,
@@ -384,7 +372,7 @@ class Ring:
         """Refuse a class of another ring."""
         for c in classes:
             if c.ring != self.name:
-                raise RingMismatch(f"a class of {c.ring} does not belong to {self.name}")
+                raise ParameterError(f"a class of {c.ring} does not belong to {self.name}")
 
     def mul_class(self, ca: ClassId, cb: ClassId) -> ClassId:
         self.claim(ca, cb)
@@ -498,7 +486,7 @@ class GaussianRing(Ring):
             return Gauss(-re_, -im)
         if im < 0:
             return Gauss(-im, re_)
-        raise ZeroElement("zero has no canonical associate")
+        raise ParameterError("zero has no canonical associate")
 
     def divide(self, numer, denom):
         # numer * conj(denom) over N(denom); fields read by name refuse another type
@@ -611,7 +599,7 @@ class PolynomialRing(Ring):
         self._check(num)
         self._check(den)
         if self.is_zero(den):
-            raise ZeroDivisor("polynomial division by zero")
+            raise ParameterError("polynomial division by zero")
         p, dd, r = self.p, den.degree, list(num.coeffs)
         lower, lead = den.coeffs[:-1], den.coeffs[-1]
         inv = 1 if lead == 1 else pow(lead, -1, p)
@@ -880,7 +868,7 @@ class PPowerRing(Ring):
         return PPow(self.p, a.k + b.k)
 
     def add(self, a, b):
-        raise CapabilityMissing("valp classes carry no additive structure")
+        raise ParameterError("valp classes carry no additive structure")
 
     def canonical(self, e):
         return e

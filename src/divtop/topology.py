@@ -13,13 +13,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from .errors import (
-    EmptyFamily,
-    FragmentMismatch,
-    FragmentTooLarge,
-    FragmentTooLargeForEnumeration,
-    PointNotInFragment,
-)
+from .errors import FragmentTooLarge, ParameterError, SizeGuard
 from .rings import POINT_CAP, ClassId, Ring
 
 ENUM_CAP = 20
@@ -136,14 +130,14 @@ class Fragment:
         try:
             return self._index[c]
         except KeyError:
-            raise PointNotInFragment(f"{c} is not a point of this fragment") from None
+            raise ParameterError(f"{c} is not a point of this fragment") from None
 
     def __contains__(self, c: ClassId) -> bool:
         return c in self._index
 
     def claim(self, s: PointSet) -> None:
         if s.fragment is not self and s.fragment != self:
-            raise FragmentMismatch("point set belongs to a different fragment")
+            raise ParameterError("point set belongs to a different fragment")
 
     # -- set constructors -----------------------------------------------------
 
@@ -186,9 +180,7 @@ class Fragment:
         empty set and the whole fragment.  Consumers may stop early."""
         n = len(self.points)
         if n > ENUM_CAP:
-            raise FragmentTooLargeForEnumeration(
-                f"{n} points exceeds the enumeration cap {ENUM_CAP}"
-            )
+            raise SizeGuard(f"{n} points exceeds the enumeration cap {ENUM_CAP}")
         # process points so that divisors come first; then a point may join
         # only when its whole basic open is already in
         order = sorted(range(n), key=lambda j: (self.cols[j].bit_count(), j))
@@ -225,7 +217,7 @@ def build_fragment(ring: Ring, seeds: Iterable[ClassId]) -> Fragment:
     """
     seeds = tuple(seeds)
     if not seeds:
-        raise EmptyFamily("at least one seed class is needed")
+        raise ParameterError("at least one seed class is needed")
     ring.claim(*seeds)
     # each seed's divisor classes (its own among them) are part of the
     # fragment, so the ring can refuse an over-cap seed before it lists them,

@@ -30,9 +30,9 @@ from sympy.polys.galoistools import gf_factor
 
 from divtop import checks as C
 from divtop.checks import FAILS, HOLDS, WITNESS, CheckReport
-from divtop.errors import ZeroElement
+from divtop.errors import ParameterError
 from divtop.rings import Gauss, Poly, PPow, Root5
-from divtop.topology import PointSet
+from divtop.topology import PointSet, build_fragment
 
 
 def int_divisors(n: int) -> list:
@@ -108,7 +108,7 @@ def gauss_canonical_by_units(ring, e):
         c = ring.mul(u, e)
         if c.re > 0 and c.im >= 0:
             return c
-    raise ZeroElement("zero has no canonical associate")
+    raise ParameterError("zero has no canonical associate")
 
 
 def monics(p: int, d: int):
@@ -414,11 +414,17 @@ def isolated_oracle(fragment) -> CheckReport:
     )
 
 
+def gcd_intersection(ring, a, b) -> CheckReport:
+    """The gcd-intersection runner on the seeds a and b, called as README's
+    quick start calls it."""
+    return C.PROPS["gcd-intersection"][1](ring, [a, b], 0, lambda: build_fragment(ring, [a]))
+
+
 def basis_intersection_oracle(ring, a, b) -> CheckReport:
-    """basis_intersection with frozenset divisor sets: on a ring without gcd,
+    """gcd_intersection with frozenset divisor sets: on a ring without gcd,
     a member whose own divisor set is the whole intersection generates it."""
     if ring.has_gcd:
-        return C.basis_intersection(ring, a, b)
+        return gcd_intersection(ring, a, b)
     inter = ring.divisor_classes(a.rep) & ring.divisor_classes(b.rep)
     details = {"left": a.text, "right": b.text, "intersection": sorted(c.text for c in inter)}
     for g in sorted(inter, key=ring.class_sort_key):

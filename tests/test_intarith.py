@@ -126,6 +126,19 @@ def test_rho_never_takes_more_steps_than_its_budget(n, budget):
     assert d is None or (d > 1 and n % d == 0)
 
 
+def test_rho_stops_inside_a_round_when_its_budget_runs_out():
+    # with its whole budget this split takes 1022 steps, but a budget cut
+    # inside the last round ends that round's batch early, and from 988 steps
+    # on its gcd already holds the factor; below that every budget runs out
+    n = 1000003 * 1000033
+    assert intarith._rho(n, 1, RHO_BUDGET) == (1000033, 1022)
+    assert intarith._rho(n, 1, 5) == (None, 5)  # out of budget inside a batch
+    for budget in range(1022):
+        d, steps = intarith._rho(n, 1, budget)
+        assert steps <= budget
+        assert d == (None if budget < 988 else 1000033)
+
+
 def test_rho_retries_with_the_next_polynomial():
     # x^2 + 1 meets its cycle mod 1009 and mod 1709 at the same step, so the
     # first rho run finds only n itself

@@ -1,16 +1,24 @@
-"""The public surface of the ring adapters, the fragment and the point set
-is read by the library or documented in README.
+"""The public surface of the library is read by the library or documented
+in README.
 
-A public method or property of one of the guarded classes is live when the
-library reads its name outside the guarded definitions, when README names it
-in code, or when the body of a live guarded definition reads it.  Names are
-matched without their class, as the library reads them through a ring, a
-fragment or a point set of any kind.  Dunder methods are protocol hooks
-reached through operators and builtins, so they are not guarded.
+A public method or property of one of the guarded classes (the ring
+adapters, the fragment and the point set) is live when the library reads
+its name outside the guarded definitions, when README names it in code, or
+when the body of a live guarded definition reads it.  Names are matched
+without their class, as the library reads them through a ring, a fragment
+or a point set of any kind.  Dunder methods are protocol hooks reached
+through operators and builtins, so they are not guarded.
+
+A public module-level function is live when a module other than
+``__init__`` reads its name outside its own definition, or when README
+names it in code; re-exporting a name reads nothing.  Every exception type
+is named in README code, where the library section says which refusal
+raises it.
 """
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -97,3 +105,43 @@ def test_the_guard_sees_a_method_nothing_reads(tmp_path):
         (tmp_path / path.name).write_text(text)
     added = set(dead_surface(_readme_names(), tmp_path)) - set(dead_surface(_readme_names()))
     assert added == {"Fragment.unread_helper", "Fragment.unread_inner"}
+
+
+def dead_functions(readme_names, src=SRC) -> list:
+    """Public module-level functions no other code reads and README does not
+    name, as module.name."""
+    defined, reads, own_reads = [], Counter(), Counter()
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        reads.update(_name(n) for n in ast.walk(tree))
+        for d in tree.body:
+            if isinstance(d, ast.FunctionDef) and not d.name.startswith("_"):
+                defined.append(f"{path.stem}.{d.name}")
+                own_reads[d.name] += sum(_name(n) == d.name for n in ast.walk(d))
+    return [f for f in defined
+            if (name := f.split(".")[1]) not in readme_names and reads[name] == own_reads[name]]
+
+
+def test_every_public_function_is_read_or_documented():
+    assert dead_functions(_readme_names()) == []
+
+
+def test_the_guard_sees_a_function_nothing_reads(tmp_path):
+    # a function only __init__ exports, or only its own body reads, is dead
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    with open(tmp_path / "primes.py", "a") as fh:
+        fh.write("\n\ndef unread_step(n):\n    return unread_step(n - 1) if n else 0\n")
+    with open(tmp_path / "__init__.py", "a") as fh:
+        fh.write("\nfrom .primes import unread_step\n")
+    added = set(dead_functions(_readme_names(), tmp_path)) - set(dead_functions(_readme_names()))
+    assert added == {"primes.unread_step"}
+
+
+def test_every_exception_type_is_named_in_readme():
+    tree = ast.parse((SRC / "errors.py").read_text())
+    types = [c.name for c in tree.body if isinstance(c, ast.ClassDef)]
+    assert "DivtopError" in types
+    assert [t for t in types if t not in _readme_names()] == []

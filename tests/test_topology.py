@@ -8,13 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from divtop import checks as C
-from divtop.errors import (
-    EmptyFamily,
-    FragmentMismatch,
-    FragmentTooLargeForEnumeration,
-    PointNotInFragment,
-    RingMismatch,
-)
+from divtop.errors import ParameterError, SizeGuard
+from divtop.formats import fragment_from_json, fragment_to_json
 from divtop.rings import ClassId, Gauss, PPow, Ring, Root5, make_ring
 from divtop.topology import Fragment, PointSet, _divisibility, build_fragment
 
@@ -382,9 +377,9 @@ def test_isolated_matches_oracle(ring_seeds):
 
 
 def test_build_fragment_validation():
-    with pytest.raises(EmptyFamily):
+    with pytest.raises(ParameterError, match="^at least one seed class is needed$"):
         build_fragment(Z, [])
-    with pytest.raises(RingMismatch):
+    with pytest.raises(ParameterError, match="^a class of gauss does not belong to z$"):
         build_fragment(Z, [G.canonical_class(Gauss(1, 1))])
 
 
@@ -494,9 +489,9 @@ def test_minimal_open_is_least():
 
 def test_point_not_in_fragment():
     f = zfrag(12)
-    with pytest.raises(PointNotInFragment):
+    with pytest.raises(ParameterError, match="^5 is not a point of this fragment$"):
         f.basic_open(Z.canonical_class(5))
-    with pytest.raises(PointNotInFragment):
+    with pytest.raises(ParameterError, match="^7 is not a point of this fragment$"):
         f.point_set([Z.canonical_class(7)])
 
 
@@ -524,9 +519,18 @@ def test_open_iff_complement_closed():
         assert f.is_closed(s) == is_open_oracle(complement(s))
 
 
+def test_equal_fragments_and_point_sets_hash_equal():
+    f = zfrag(12)
+    g = fragment_from_json(fragment_to_json(f))
+    assert g is not f and g == f and hash(g) == hash(f) and len({f, g}) == 1
+    c = Z.canonical_class
+    s, t = f.point_set([c(2), c(6)]), g.point_set([c(6), c(2)])
+    assert s == t and hash(s) == hash(t) and len({s, t}) == 1
+
+
 def test_fragment_mismatch():
     f1, f2 = zfrag(12), zfrag(18)
-    with pytest.raises(FragmentMismatch):
+    with pytest.raises(ParameterError, match="^point set belongs to a different fragment$"):
         f1.is_closed(f2.full_set())
 
 
@@ -658,7 +662,7 @@ def test_enumerate_opens_matches_powerset_filter():
 def test_enumerate_opens_guard():
     f = zfrag(2**21)  # 21 chain points
     assert len(f) == 21
-    with pytest.raises(FragmentTooLargeForEnumeration):
+    with pytest.raises(SizeGuard, match="^21 points exceeds the enumeration cap 20$"):
         next(f.enumerate_opens())
 
 
