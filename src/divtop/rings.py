@@ -355,10 +355,11 @@ class Ring:
         g = self._gcd(a, b)
         return None if self.is_unit(g) else self._class(self.canonical(g))
 
-    def _check(self, e) -> None:
+    def _check(self, *elems) -> None:
         """Refuse an element that carries another p (fp and valp elements do)."""
-        if e.p != self.p:
-            raise ParameterError(f"an element of {self.tag}({e.p}) used in {self.name}")
+        for e in elems:
+            if e.p != self.p:
+                raise ParameterError(f"an element of {self.tag}({e.p}) used in {self.name}")
 
     def _guard_norm(self, a) -> None:
         """Refuse a gauss or zs5 element whose norm passes ``NORM_MAX``,
@@ -553,12 +554,14 @@ class PolynomialRing(Ring):
     DEG_MAX = 12  # caps divisor enumeration; larger degrees exit 2
 
     def poly(self, coeffs) -> Poly:
-        """The normal form: coefficients reduced mod p, no trailing zeros.
-        mul, add and _rem work on plain integers and return through here."""
+        """The normal form: coefficients reduced mod p, no trailing zeros."""
+        return Poly(self.p, tuple(self._digits(coeffs)))
+
+    def _digits(self, coeffs) -> list:
         out = [c % self.p for c in coeffs]
         while out and not out[-1]:
             out.pop()
-        return Poly(self.p, tuple(out))
+        return out
 
     def is_zero(self, e) -> bool:
         return not e.coeffs
@@ -570,18 +573,20 @@ class PolynomialRing(Ring):
         return Poly(self.p, (1,))
 
     def mul(self, a, b):
-        self._check(a)
-        self._check(b)
-        out = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
-        for i, ai in enumerate(a.coeffs):
+        self._check(a, b)
+        return self.poly(self._product(a.coeffs, b.coeffs))
+
+    def _product(self, a, b) -> list:
+        """Coefficients of a * b, not reduced; with ``_long_division``, all fp arithmetic."""
+        out = [0] * (len(a) + len(b) - 1)
+        for i, ai in enumerate(a):
             if ai:
-                for j, bj in enumerate(b.coeffs):
+                for j, bj in enumerate(b):
                     out[i + j] += ai * bj
-        return self.poly(out)
+        return out
 
     def add(self, a, b):
-        self._check(a)
-        self._check(b)
+        self._check(a, b)
         return self.poly(x + y for x, y in zip_longest(a.coeffs, b.coeffs, fillvalue=0))
 
     def canonical(self, e):
@@ -591,17 +596,14 @@ class PolynomialRing(Ring):
         inv = pow(lead, -1, self.p)
         return Poly(self.p, tuple(c * inv % self.p for c in e.coeffs))
 
-    def _long_division(self, num: Poly, den: Poly) -> tuple:
-        """Quotient digits of num by den, reduced, leading one nonzero, and
-        the deg(den) low remainder digits, not reduced.  A step subtracts
-        only den's lower terms: the digit its leading term cancels is never
-        read again."""
-        self._check(num)
-        self._check(den)
-        if self.is_zero(den):
+    def _long_division(self, num, den) -> tuple:
+        """Quotient digits of num (reduced or not) by den, reduced, and the
+        remainder in normal form.  A step subtracts only den's lower terms:
+        the digit its leading term cancels is never read again."""
+        if not den:
             raise ParameterError("polynomial division by zero")
-        p, dd, r = self.p, den.degree, list(num.coeffs)
-        lower, lead = den.coeffs[:-1], den.coeffs[-1]
+        p, dd, r = self.p, len(den) - 1, list(num)
+        lower, lead = den[:-1], den[-1]
         inv = 1 if lead == 1 else pow(lead, -1, p)
         q = [0] * (len(r) - dd)
         for k in range(len(r) - dd - 1, -1, -1):
@@ -609,11 +611,23 @@ class PolynomialRing(Ring):
             if c:
                 for j, dj in enumerate(lower):
                     r[k + j] -= c * dj
-        return q, r[:dd]
+        return q, self._digits(r[:dd])
 
     def divide(self, numer, denom):
-        q, r = self._long_division(numer, denom)
-        return None if any(c % self.p for c in r) else Poly(self.p, tuple(q))
+        self._check(numer, denom)
+        q, r = self._long_division(numer.coeffs, denom.coeffs)
+        return None if r else Poly(self.p, tuple(q))
+
+    def _rem(self, a, b):
+        self._check(a, b)
+        return Poly(self.p, tuple(self._long_division(a.coeffs, b.coeffs)[1]))
+
+    def _gcd(self, a, b):
+        self._check(a, b)
+        a, b = a.coeffs, b.coeffs
+        while b:
+            a, b = b, self._long_division(a, b)[1]
+        return Poly(self.p, tuple(a))
 
     def sort_key(self, e):
         return (e.degree, tuple(reversed(e.coeffs)))
@@ -646,26 +660,34 @@ class PolynomialRing(Ring):
         if degree > self.DEG_MAX:
             raise SizeGuard(f"degree {brief(degree)} exceeds the fp bound {self.DEG_MAX}")
 
+    def _roots(self, f) -> list:
+        """The s in F_p where the coefficient list f vanishes, ascending."""
+        p, out = self.p, []
+        for s in range(p):
+            v = 0
+            for c in reversed(f):
+                v = v * s + c
+            if not v % p:
+                out.append(s)
+        return out
+
     def _factor_reps(self, a):
-        # each root s of f in F_p, found by Horner evaluation, gives the
-        # factor x - s, divided out as often as it goes.  The rest has no
-        # root, so below degree 4 it is a unit or irreducible.  Otherwise
-        # f / gcd(f, f') is the square-free product of the irreducibles whose
-        # multiplicity p does not divide: Berlekamp splits it, and each factor
-        # is peeled out of f as often as it divides.  What is left has f' = 0,
-        # so f = g(x^p) = g(x)^p, since c^p = c for every c in F_p
+        # each root s of f in F_p gives the factor x - s, divided out as
+        # often as it goes.  The rest has no root, so below degree 4 it is a
+        # unit or irreducible.  Otherwise f / gcd(f, f') is the square-free
+        # product of the irreducibles whose multiplicity p does not divide:
+        # Berlekamp splits it, and each factor is peeled out of f as often as
+        # it divides.  What is left has f' = 0, so f = g(x^p) = g(x)^p, since
+        # c^p = c for every c in F_p
+        self._check(a)
         self._guard(a.degree)
         p, f = self.p, self.canonical(a)
         out = []
-        for s in range(p):
-            v = 0
-            for c in reversed(f.coeffs):
-                v = (v * s + c) % p
-            if not v:
-                root = Poly(p, (-s % p, 1))
-                while (q := self.divide(f, root)) is not None:
-                    out.append(root)
-                    f = q
+        for s in self._roots(f.coeffs):
+            root = Poly(p, (-s % p, 1))
+            while (q := self.divide(f, root)) is not None:
+                out.append(root)
+                f = q
         if f.degree < 4:
             return tuple(out) if self.is_unit(f) else (*out, f)
         df = self.poly([i * c for i, c in enumerate(f.coeffs)][1:])
@@ -678,64 +700,89 @@ class PolynomialRing(Ring):
             out += self._factor_reps(Poly(self.p, f.coeffs[:: self.p])) * self.p
         return tuple(out)
 
+    def _irreducible(self, a) -> bool:
+        # Berlekamp's criterion: f with a root s is irreducible only as x - s; a
+        # root-free f is below degree 4, and above if square-free of rank(Q - I) n - 1
+        self._check(a)
+        self._guard(a.degree)
+        f, n = self.canonical(a), a.degree
+        if self._roots(f.coeffs):
+            return n == 1
+        if n < 4:
+            return True
+        df = self.poly([i * c for i, c in enumerate(f.coeffs)][1:])
+        return self.is_unit(self._gcd(f, df)) and len(self._q_echelon(f.coeffs)[1]) == n - 1
+
     def _berlekamp(self, f) -> list:
         """Monic irreducible factors of a monic square-free f (Berlekamp 1967).
 
-        The v with v^p = v mod f form the null space of Q - I, where row i of
-        Q is x^(p*i) mod f; its dimension is the number of factors, and every
-        h dividing f is the product of gcd(h, v - s) over s in F_p."""
-        p, n = self.p, f.degree
-        rows = [self.one(), self._rem(Poly(p, (0,) * p + (1,)), f)]
-        while len(rows) < n:
-            rows.append(self._rem(self.mul(rows[-1], rows[1]), f))
-        cols = [[0] * n for _ in range(n)]
-        for i, row in enumerate(rows[:n]):  # cols is (Q - I) transposed
-            for j, c in enumerate(row.coeffs):
-                cols[j][i] = c
-            cols[i][i] = (cols[i][i] - 1) % p
-        pivots = []  # Gauss-Jordan elimination; pivots[r] is row r's column
-        for j in range(n):
-            r = len(pivots)
-            i = next((i for i in range(r, n) if cols[i][j]), None)
-            if i is None:
-                continue
-            cols[r], cols[i] = cols[i], cols[r]
-            inv = pow(cols[r][j], -1, p)
-            cols[r] = [c * inv % p for c in cols[r]]
-            for i in range(n):
-                if i != r and (m := cols[i][j]):
-                    cols[i] = [(c - m * d) % p for c, d in zip(cols[i], cols[r])]
-            pivots.append(j)
+        The v with v^p = v mod f form the null space of Q - I, of dimension
+        r, the number of factors: at rank n - 1 no null vector is read.  For a
+        factor h, the s in F_p with gcd(h, v - s) not 1 are the roots of the minimal
+        polynomial of v mod h (Knuth, TAOCP 4.6.2), and those gcds multiply to h."""
+        rows, pivots = self._q_echelon(f.coeffs)
+        n, r = f.degree, f.degree - len(pivots)
+        if r == 1:
+            return [f]
         # column 0 is zero (row 0 of Q is 1), so it is free and stands for the
         # constants; every other free column gives a nonconstant v
-        basis = []
-        for free in (j for j in range(1, n) if j not in pivots):
-            v = [0] * n
-            v[free] = 1
-            for r, j in enumerate(pivots):
-                v[j] = -cols[r][free] % p
-            basis.append(self.poly(v))
-        # the gcds over s are pairwise coprime, so the scan of h stops once
-        # their degrees add up to deg h
+        basis = (self._null_vector(rows, pivots, j) for j in range(1, n) if j not in pivots)
         factors = [f]
         for v in basis:
-            if len(factors) > len(basis):
+            if len(factors) == r:
                 break
             split = []
             for h in factors:
-                w, left = self._rem(v, h), h.degree
-                for s in range(p):
-                    g = self._gcd(h, self.add(w, self.poly([-s])))
-                    if not self.is_unit(g):
-                        split.append(self.canonical(g))
-                        left -= g.degree
-                        if not left:
-                            break
+                # the minimal polynomial of w = v mod h has a degree d of at most
+                # deg h and the number of factors of h: powers 0..d-1 of w are the
+                # pivots, and the null vector at column d holds its coefficients
+                w = self._long_division(v, h.coeffs)[1]
+                powers = [[1], w]
+                while len(powers) <= min(h.degree, r + 1 - len(factors)):
+                    powers.append(self._long_division(self._product(powers[-1], w), h.coeffs)[1])
+                m_rows, m_pivots = self._echelon(powers, h.degree)
+                for s in self._roots(self._null_vector(m_rows, m_pivots, len(m_pivots))):
+                    split.append(self.canonical(self._gcd(h, self.poly([v[0] - s, *v[1:]]))))
             factors = split
         return factors
 
-    def _rem(self, a, b):
-        return self.poly(self._long_division(a, b)[1])
+    def _q_echelon(self, f) -> tuple:
+        """``_echelon`` of Q - I for a monic coefficient list f of degree n >= 2;
+        row i of Q is x^(p*i) mod f, a product and a remainder from row 2 on."""
+        p, n = self.p, len(f) - 1
+        q = [[1], self._long_division([0] * p + [1], f)[1]]
+        while len(q) < n:
+            q.append(self._long_division(self._product(q[-1], q[1]), f)[1])
+        for i, row in enumerate(q):
+            row += [0] * (n - len(row))
+            row[i] = (row[i] - 1) % p
+        return self._echelon(q, n)
+
+    def _echelon(self, vectors, n) -> tuple:
+        """Forward elimination mod p of the n-row matrix with columns ``vectors``
+        (coefficient lists, padded): its rows, nonzero ones led by 1, and their pivots."""
+        p = self.p
+        rows = [list(row) for row in zip(*(v + [0] * (n - len(v)) for v in vectors))]
+        pivots = []
+        for k in range(len(vectors)):
+            r = len(pivots)
+            if (i := next((i for i in range(r, n) if rows[i][k]), None)) is None:
+                continue
+            inv = pow(rows[i][k], -1, p)
+            rows[i], rows[r] = rows[r], [c * inv % p for c in rows[i]]  # i may be r
+            for i in range(r + 1, n):
+                if m := rows[i][k]:
+                    rows[i] = [(c - m * d) % p for c, d in zip(rows[i], rows[r])]
+            pivots.append(k)
+        return rows, pivots
+
+    def _null_vector(self, rows, pivots, free) -> list:
+        """By back-substitution, the null vector: 1 at column free, 0 at other free columns."""
+        v = [0] * len(rows[0])
+        v[free] = 1
+        for row, j in zip(reversed(rows[: len(pivots)]), reversed(pivots)):
+            v[j] = -sum(c * x for c, x in zip(row[j + 1 :], v[j + 1 :])) % self.p
+        return v
 
 
 # ---------------------------------------------------------------------------
@@ -863,8 +910,7 @@ class PPowerRing(Ring):
         return PPow(self.p, 0)
 
     def mul(self, a, b):
-        self._check(a)
-        self._check(b)
+        self._check(a, b)
         return PPow(self.p, a.k + b.k)
 
     def add(self, a, b):
@@ -874,8 +920,7 @@ class PPowerRing(Ring):
         return e
 
     def divide(self, numer, denom):
-        self._check(numer)
-        self._check(denom)
+        self._check(numer, denom)
         if denom.k <= numer.k:
             return PPow(self.p, numer.k - denom.k)
         return None

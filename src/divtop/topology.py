@@ -163,7 +163,7 @@ class Fragment:
 
     def specializes(self, p: ClassId, q: ClassId) -> bool:
         """True when q lies in the closure of {p}, i.e. p divides q."""
-        return bool(self.rows[self.index_of(p)] >> self.index_of(q) & 1)
+        return bool(self.cols[self.index_of(q)] >> self.index_of(p) & 1)
 
     def is_closed(self, s: PointSet) -> bool:
         return self.closure(s) == s

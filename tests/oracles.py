@@ -123,11 +123,14 @@ def monics(p: int, d: int):
 
 
 def poly_divisor_classes(ring, a) -> set:
-    out = set()
-    for deg in range(1, a.degree + 1):
+    # a divisor c of a or its cofactor a/c has degree at most deg(a)/2, so
+    # monic candidates up to that degree find both
+    out = {ring.canonical_class(a)}
+    for deg in range(1, a.degree // 2 + 1):
         for cand in monics(ring.p, deg):
-            if ring.divide(a, cand) is not None:
-                out.add(ring.canonical_class(cand))
+            q = ring.divide(a, cand)
+            if q is not None:
+                out |= {ring.canonical_class(cand), ring.canonical_class(q)}
     return out
 
 

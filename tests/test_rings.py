@@ -31,6 +31,17 @@ from oracles import (
 from strategies import ELEMENTS, F2, F3, F5, G, RING_ELEMENTS, S5, V3, Z
 
 V2 = make_ring("valp", 2)
+F13, F17 = make_ring("fp", 13), make_ring("fp", 17)
+# (x^3+9x^2+8x+6)(x^4+10x^3+9x^2+3x+7) over F_13: root-free, so Berlekamp
+# splits it into two factors
+TWO13 = "x^7+6x^6+3x^5+x^4+10x^3+11x^2+9x+3"
+# F_p edge cases of factoring and of the irreducibility test
+FP_EDGES = (
+    (F2, F2.parse("x^4+x^3+1")),  # irreducible; x^p has lower degree than f
+    (F3, F3.parse("x^6+1")),  # (x^2+1)^3: root-free with f' = 0
+    (F17, F17.parse("x^4+6x^2+9")),  # (x^2+3)^2: a square-free part of lower degree
+    (F13, F13.parse(TWO13)),
+)
 
 ALL_RINGS = (Z, G, F2, F3, S5, V2)
 
@@ -422,6 +433,10 @@ def test_factor_deterministic():
 @given(RING_ELEMENTS)
 @example((S5, Root5(6, 6)))
 @example((F3, F3.parse("x^6+2x^5+x^4")))  # x^4 (x+1)^2
+@example(FP_EDGES[0])
+@example(FP_EDGES[1])
+@example(FP_EDGES[2])
+@example(FP_EDGES[3])
 @settings(max_examples=100, deadline=None)
 def test_factor_against_oracle(ring_elem):
     # each factor has no proper divisor class, the product is e's class, and
@@ -506,7 +521,6 @@ def test_fp_factor_against_trial_division(ring_elem):
 
 # x^12 + x + 2 is irreducible over F_17; trial division scanned about 2.6e7
 # monic candidates to show that
-F17 = make_ring("fp", 17)
 DEG12 = "x^12+x+2"
 
 
@@ -526,7 +540,6 @@ def test_fp_product_of_two_sextics():
 
 
 FP_ALL = tuple(make_ring("fp", p) for p in (2, 3, 5, 7, 11, 13, 17))
-F13 = make_ring("fp", 13)
 # (x+5)^2 (x+6)^2 (x+7)(x+9)(x+10)(x^2+12x+2): six distinct factors for
 # the split, five of them linear
 SPLIT13 = "x^9+8x^8+7x^7+12x^6+10x^5+x^4+6x^3+6x^2+10x+10"
@@ -614,9 +627,9 @@ def test_fp_primitives_against_galoistools(case):
     assert _dense(ring, ring.mul(a, b)) == gf_mul(f, g, p, ZZ)
     assert _dense(ring, ring.add(a, b)) == gf_add(f, g, p, ZZ)
     if g:
-        # the quotient digits come reduced, the remainder digits do not
-        q, r = ring._long_division(a, b)
-        q, r = rings.Poly(ring.p, tuple(q)), ring.poly(r)
+        # the quotient digits come reduced, the remainder in normal form
+        q, r = ring._long_division(a.coeffs, b.coeffs)
+        q, r = rings.Poly(ring.p, tuple(q)), rings.Poly(ring.p, tuple(r))
         gq, gr = gf_div(f, g, p, ZZ)
         assert [_dense(ring, q), _dense(ring, r)] == [gq, gr]
         exact = ring.divide(a, b)
@@ -628,10 +641,31 @@ def test_fp_primitives_against_galoistools(case):
 @given(st.one_of(fp_factor_cases(), FP_LARGE_ELEMENTS))
 @example((F17, F17.parse(ROOT_FREE_QUARTICS[0])))
 @example((F17, F17.parse(ROOT_FREE_QUARTICS[1])))
+@example(FP_EDGES[0])
+@example(FP_EDGES[1])
+@example(FP_EDGES[2])
+@example(FP_EDGES[3])
 @settings(max_examples=200, deadline=None)
 def test_fp_irreducible_against_rabin(ring_elem):
     ring, e = ring_elem
     assert ring.is_irreducible(e) == fp_rabin_irreducible(ring, e)
+
+
+@given(
+    st.one_of(
+        fp_factor_cases(),
+        fp_operand_pairs().map(lambda case: case[:2]).filter(lambda case: case[1].degree >= 1),
+    )
+)
+@example(FP_EDGES[0])
+@example(FP_EDGES[1])
+@example(FP_EDGES[2])
+@example(FP_EDGES[3])
+@settings(max_examples=300, deadline=None)
+def test_fp_irreducible_is_a_factorization_with_one_factor(ring_elem):
+    # the rank test and the full factorization are separate paths
+    ring, e = ring_elem
+    assert ring.is_irreducible(e) == (len(ring.factor(e)) == 1)
 
 
 def test_zs5_listing_solves_only_norms_up_to_the_square_root(monkeypatch):
@@ -651,9 +685,10 @@ def test_zs5_listing_solves_only_norms_up_to_the_square_root(monkeypatch):
 
 
 def test_fp_split_stops_once_the_factor_degrees_add_up(monkeypatch):
-    # scanning every s on every factor, linear ones included, took 79 gcds,
-    # and Berlekamp's split that stops took 28; roots find the five linear
-    # factors now, and the quadratic left needs no gcd
+    # roots find the five linear factors of SPLIT13, and the quadratic left
+    # needs no gcd.  TWO13 takes one gcd for its square-free part and one at
+    # each of the two roots of the minimal polynomial of v mod f, where a
+    # scan of s in F_13 took 13 after the first
     calls = []
     gcd = PolynomialRing._gcd
     monkeypatch.setattr(
@@ -661,18 +696,21 @@ def test_fp_split_stops_once_the_factor_degrees_add_up(monkeypatch):
     )
     factors = [c.text for c in F13.factor(F13.parse(SPLIT13))]
     assert factors == ["x+5", "x+5", "x+6", "x+6", "x+7", "x+9", "x+10", "x^2+12x+2"]
-    assert len(calls) <= 28
+    assert len(calls) == 0
+    factors = [c.text for c in F13.factor(F13.parse(TWO13))]
+    assert factors == ["x^3+9x^2+8x+6", "x^4+10x^3+9x^2+3x+7"]
+    assert len(calls) == 3
 
 
 def test_berlekamp_builds_only_the_rows_it_reads(monkeypatch):
     # row 0 of Q is 1 and row 1 is x^p mod f, one remainder; rows 2..n-1
-    # cost one mul and one remainder each, so a degree-7 f takes 5 muls and
-    # 6 remainders.  The earlier loop also multiplied 1 by x^p and built a
-    # row n, 7 and 8
+    # cost one product and one remainder each, so a degree-7 f takes 5
+    # products and 6 remainders, and at rank n - 1 no more.  The earlier
+    # loop also multiplied 1 by x^p and built a row n, 7 and 8
     f = F13.parse("x^7+10x+1")
     assert gf_irreducible_p([1, 0, 0, 0, 0, 0, 10, 1], 13, ZZ)
     calls = []
-    for name in ("mul", "_rem"):
+    for name in ("_product", "_long_division"):
         method = getattr(PolynomialRing, name)
         monkeypatch.setattr(
             PolynomialRing,
@@ -680,7 +718,7 @@ def test_berlekamp_builds_only_the_rows_it_reads(monkeypatch):
             lambda self, a, b, name=name, method=method: calls.append(name) or method(self, a, b),
         )
     assert F13._berlekamp(f) == [f]
-    assert calls.count("mul") == 5 and calls.count("_rem") == 6
+    assert calls.count("_product") == 5 and calls.count("_long_division") == 6
 
 
 def test_a_linear_polynomial_is_irreducible_without_berlekamp(monkeypatch):

@@ -632,6 +632,14 @@ def test_specializes_matches_closure_membership():
             assert f.specializes(p, q) == (q in cl)
 
 
+def test_a_t0_check_derives_no_rows():
+    # specializes reads one bit of a column, so check_t0, whose example pair
+    # asks it once, derives no row table
+    f = zfrag(60)
+    assert C.check_t0(f).verdict == "holds"
+    assert "rows" not in vars(f)
+
+
 # ---------------------------------------------------------------------------
 # open-set enumeration
 
