@@ -543,6 +543,9 @@ FP_ALL = tuple(make_ring("fp", p) for p in (2, 3, 5, 7, 11, 13, 17))
 # (x+5)^2 (x+6)^2 (x+7)(x+9)(x+10)(x^2+12x+2): six distinct factors for
 # the split, five of them linear
 SPLIT13 = "x^9+8x^8+7x^7+12x^6+10x^5+x^4+6x^3+6x^2+10x+10"
+# four irreducibles over F_2, more factors than p: a null vector takes only
+# two values mod them, so the split needs more than one
+MANY2 = F2.product(F2.parse(t) for t in ("x^2+x+1", "x^3+x+1", "x^3+x^2+1", "x^4+x+1"))
 TWELVE_LINEAR = F17.product(F17.poly([-s, 1]) for s in range(1, 13))
 # without a root in F_17, so factoring goes on to Berlekamp: (x^2+3)(x^2+5),
 # and an irreducible
@@ -574,6 +577,7 @@ def fp_factor_cases(draw):
 @example((F13, F13.parse(SPLIT13)))
 @example((F17, F17.parse(ROOT_FREE_QUARTICS[0])))
 @example((F17, F17.parse(ROOT_FREE_QUARTICS[1])))
+@example((F2, MANY2))
 @settings(max_examples=300, deadline=None)
 def test_fp_factor_against_sympy(ring_elem):
     ring, e = ring_elem
