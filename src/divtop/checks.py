@@ -15,7 +15,7 @@ from a ring, the seed classes, a chain length and the seeds' fragment.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import ParameterError, SizeGuard
 from .rings import POINT_CAP, ClassId, Ring
@@ -365,30 +365,27 @@ def non_regular_witness(ring: Ring, a: ClassId) -> CheckReport:
     )
 
 
-def non_compact_witness(
-    ring: Ring, x: ClassId, family: Optional[Sequence[ClassId]] = None
-) -> CheckReport:
+def non_compact_witness(ring: Ring, x: ClassId, family: Sequence[ClassId]) -> CheckReport:
     """x^2 never divides x back, while closures of finitely many singletons
     still meet in the product class."""
-    ring.claim(x, *(family or ()))
+    ring.claim(x, *family)
+    if not family:
+        raise ParameterError("family of classes is empty")
     x2 = ring.mul_class(x, x)
     escapes = not ring.divides(x2.rep, x.rep)
+    prod = family[0]
+    for c in family[1:]:
+        prod = ring.mul_class(prod, c)
+    hits = all(ring.divides(c.rep, prod.rep) for c in family)
     details = {
         "point": x.text,
         "square": x2.text,
         "square_divides_point": not escapes,
+        "family": [c.text for c in family],
+        "common_point": prod.text,
+        "common_point_in_every_closure": hits,
     }
-    ok = escapes
-    if family:
-        prod = family[0]
-        for c in family[1:]:
-            prod = ring.mul_class(prod, c)
-        hits = all(ring.divides(c.rep, prod.rep) for c in family)
-        details["family"] = [c.text for c in family]
-        details["common_point"] = prod.text
-        details["common_point_in_every_closure"] = hits
-        ok = ok and hits
-    verdict = WITNESS if ok else FAILS
+    verdict = WITNESS if escapes and hits else FAILS
     return CheckReport("compact", verdict, (x, x2), details)
 
 

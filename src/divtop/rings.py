@@ -180,10 +180,9 @@ class Ring:
     """Uniform surface over one integral domain.
 
     Subclasses provide the element-level primitives (arithmetic, canonical
-    associate, exact division) and the factoring hook ``_factor_reps``.
-    Rings with gcd supply ``_rem`` for the Euclid loop in ``_gcd``, or their
-    own ``_gcd``.  Divisor enumeration, class-level operations and their
-    argument validation live here.
+    associate, exact division) and the factoring hook ``_factor_reps``;
+    rings with gcd also supply the hook ``_gcd``.  Divisor enumeration,
+    class-level operations and their argument validation live here.
     """
 
     tag: str = ""
@@ -290,14 +289,9 @@ class Ring:
     def _irreducible(self, a) -> bool:
         return len(self._factor_reps(a)) == 1
 
-    def _rem(self, a, b):
-        """Euclidean remainder of a by nonzero b."""
-        raise NotImplementedError
-
     def _gcd(self, a, b):
-        while not self.is_zero(b):
-            a, b = b, self._rem(a, b)
-        return a
+        """A greatest common divisor of a and b, on rings with ``has_gcd``."""
+        raise NotImplementedError
 
     # -- shared derived operations ------------------------------------------
 
@@ -512,11 +506,14 @@ class GaussianRing(Ring):
         # nearest integer, ties toward +inf; remainder stays within b/2
         return (2 * a + b) // (2 * b)
 
-    def _rem(self, a, b):
-        n = b.norm
-        t = self.mul(a, b.conj())
-        qb = self.mul(Gauss(self._round_div(t.re, n), self._round_div(t.im, n)), b)
-        return Gauss(a.re - qb.re, a.im - qb.im)
+    def _gcd(self, a, b):
+        # Euclid: each remainder a - qb has a smaller norm than b
+        while not self.is_zero(b):
+            n = b.norm
+            t = self.mul(a, b.conj())
+            qb = self.mul(Gauss(self._round_div(t.re, n), self._round_div(t.im, n)), b)
+            a, b = b, Gauss(a.re - qb.re, a.im - qb.im)
+        return a
 
     def _prime_above(self, p: int):
         # p = 1 mod 4 splits; gcd with a square root of -1 finds one factor
@@ -617,10 +614,6 @@ class PolynomialRing(Ring):
         self._check(numer, denom)
         q, r = self._long_division(numer.coeffs, denom.coeffs)
         return None if r else Poly(self.p, tuple(q))
-
-    def _rem(self, a, b):
-        self._check(a, b)
-        return Poly(self.p, tuple(self._long_division(a.coeffs, b.coeffs)[1]))
 
     def _gcd(self, a, b):
         self._check(a, b)

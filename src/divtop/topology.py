@@ -51,9 +51,6 @@ class PointSet:
             and self.fragment == other.fragment
         )
 
-    def __hash__(self) -> int:
-        return hash((self.bits, self.fragment.points))
-
     def __and__(self, other: "PointSet") -> "PointSet":
         self.fragment.claim(other)
         return PointSet(self.fragment, self.bits & other.bits)
@@ -117,9 +114,6 @@ class Fragment:
             and self.points == other.points
             and self.seeds == other.seeds
         )
-
-    def __hash__(self) -> int:
-        return hash((self.ring.name, self.points, self.seeds))
 
     def __repr__(self) -> str:
         return f"<fragment {self.ring.name} with {len(self.points)} points>"

@@ -165,14 +165,18 @@ def fp_rabin_irreducible(ring, f) -> bool:
     irreducible iff x^(p^n) = x mod f and gcd(x^(p^(n/q)) - x, f) is a unit
     for every prime q dividing n."""
     n = f.degree
-    x = ring._rem(ring.poly([0, 1]), f)
+
+    def rem(h):  # h mod f
+        return ring.poly(ring._long_division(h.coeffs, f.coeffs)[1])
+
+    x = rem(ring.poly([0, 1]))
 
     def frobenius(h):  # h^p mod f by square and multiply
         out, base, e = ring.one(), h, ring.p
         while e:
             if e & 1:
-                out = ring._rem(ring.mul(out, base), f)
-            base, e = ring._rem(ring.mul(base, base), f), e >> 1
+                out = rem(ring.mul(out, base))
+            base, e = rem(ring.mul(base, base)), e >> 1
         return out
 
     powers = [x]  # powers[k] = x^(p^k) mod f

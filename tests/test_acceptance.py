@@ -166,7 +166,7 @@ def test_criterion_06_non_compactness_and_chains():
             for _ in range(20):
                 f = _random_fragment(ring, rng)
                 x = f.points[rng.randrange(len(f))]
-                r = C.non_compact_witness(ring, x)
+                r = C.non_compact_witness(ring, x, [x])
                 assert r.verdict == "witness-produced"
                 assert r.details["square_divides_point"] is False
         for ring, a, n in (

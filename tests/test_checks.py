@@ -432,9 +432,10 @@ def test_non_compact_examples():
     assert r.details["square_divides_point"] is False
     assert r.details["common_point"] == "30"
     assert r.details["common_point_in_every_closure"]
-    r = C.non_compact_witness(Z, cz(2))
+    r = C.non_compact_witness(Z, cz(2), [cz(2)])
     assert r.verdict == "witness-produced"
-    r = C.non_compact_witness(S5, S5.canonical_class(Root5(1, 1)))
+    x = S5.canonical_class(Root5(1, 1))
+    r = C.non_compact_witness(S5, x, [x])
     assert r.verdict == "witness-produced"
     assert r.details["square"] == S5.canonical_class(Root5(-4, 2)).text
 
@@ -529,6 +530,9 @@ def test_maximal_always_nonempty():
 def test_maximal_empty_family():
     with pytest.raises(ParameterError, match="^subfamily of basic opens is empty$"):
         C.maximal_basic_open(zfrag(12), [])
+    # the compact witness's family is refused the same way
+    with pytest.raises(ParameterError, match="^family of classes is empty$"):
+        C.non_compact_witness(Z, cz(2), [])
 
 
 # ---------------------------------------------------------------------------

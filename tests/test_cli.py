@@ -5,7 +5,6 @@ import io
 import json
 import os
 import re
-import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -26,6 +25,7 @@ from divtop.rings import Root5
 from divtop.topology import build_fragment
 
 from oracles import basis_intersection_oracle, intersection_pair_oracle, units
+from readme import GUARD_ARGVS, cli_examples, readme_block
 from strategies import ELEMENTS, RING_SEEDS, S5
 
 
@@ -233,33 +233,18 @@ def test_readme_guards_state_the_constants():
         assert number(re.search(pattern, guards).group(1)) == value, pattern
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("fragment", "--ring", "fp", "--seeds", "x"),
-        ("fragment", "--ring", "z", "--p", "5", "--seeds", "6"),
-        ("fragment", "--ring", "fp", "--p", "19", "--seeds", "x"),
-        ("check", "--ring", "fp", "--p", "17", "--seeds", "x^12+x+1", "--props", "chain",
-         "--n", "4096"),
-    ],
-    ids=["no-p", "p-on-z", "p-over-bound", "chain"],
-)
+@pytest.mark.parametrize("argv", list(GUARD_ARGVS.values()), ids=list(GUARD_ARGVS))
 def test_readme_guards_quote_the_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert f"(`{err.strip()}`" in _guards_section()
 
 
-def _readme_block(heading, lang=""):
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    return readme.split(f"\n## {heading}\n")[1].split(f"```{lang}\n")[1].split("```")[0]
-
-
 def test_readme_cli_examples_exit_0(capsys):
-    lines = [line for line in _readme_block("CLI").splitlines() if line.startswith("divtop ")]
-    assert len(lines) == 7
-    for line in lines:
-        code, out, err = run(capsys, *shlex.split(line.partition("#")[0])[1:])
+    examples = cli_examples()
+    assert len(examples) == 7
+    for line, argv in examples:
+        code, out, err = run(capsys, *argv)
         assert (code, err) == (0, "") and out, line
 
 
@@ -267,7 +252,7 @@ def test_readme_quick_start_runs_and_matches_its_comments():
     # a comment holds the value of the expression on its line, or on the
     # line above when it stands alone
     namespace, value, checked = {}, None, 0
-    for line in _readme_block("Library quick start", "python").splitlines():
+    for line in readme_block("Library quick start", "python").splitlines():
         code, _, comment = line.partition("#")
         if code.strip():
             try:
