@@ -111,32 +111,20 @@ def t1_failure_witness(ring: Ring, a: ClassId) -> CheckReport:
     )
 
 
-def _irreducible_point(fragment: Fragment, j: int) -> bool:
-    # another divisor u in the column with v/u a non-unit proves v = u * (v/u)
-    # reducible by one exact division; only the rest go to the ring's test
-    ring, v = fragment.ring, fragment.points[j].rep
-    others = fragment.cols[j] & ~(1 << j)
-    w = ring.divide(v, fragment.points[(others & -others).bit_length() - 1].rep) if others else None
-    return (w is None or ring.is_unit(w)) and ring.is_irreducible(v)
-
-
 def isolated_points(fragment: Fragment) -> CheckReport:
     """Points whose basic open is a singleton; must coincide with the
-    irreducible representatives."""
-    pts = fragment.points
-    isolated = fragment.isolated().classes()
-    irred = tuple(p for j, p in enumerate(pts) if _irreducible_point(fragment, j))
-    match = isolated == irred
+    irreducible representatives, which the ring's factorization gives."""
+    isolated, irred = fragment.isolated(), fragment.irreducible()
+    match = isolated.bits == irred.bits
     # on a mismatch the symmetric difference is the witness (in point order)
-    diff = set(isolated) ^ set(irred)
-    witnesses = isolated if match else tuple(p for p in pts if p in diff)
+    witnesses = PointSet(fragment, isolated.bits if match else isolated.bits ^ irred.bits)
     return CheckReport(
         "isolated",
         HOLDS if match else FAILS,
-        witnesses,
+        witnesses.classes(),
         {
-            "isolated": [p.text for p in isolated],
-            "irreducible": [p.text for p in irred],
+            "isolated": list(isolated.texts()),
+            "irreducible": list(irred.texts()),
             "match": match,
         },
     )

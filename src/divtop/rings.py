@@ -259,17 +259,18 @@ class Ring:
         """Canonical irreducible factors of a, with multiplicity."""
         raise NotImplementedError
 
-    def _divisor_reps(self, a) -> list:
+    def _divisor_reps(self, a) -> tuple:
         """Canonical reps of every non-unit divisor class of a, each once and
-        after all of its divisors.
+        after all of its divisors, and a function that gives the irreducible
+        ones among them.
 
         In a UFD these are the products of sub-multisets of a's irreducible
         factors, so their number, prod(e + 1) - 1 over the factor exponents,
         is known first, and more than ``POINT_CAP`` raise before any is
         built.  They are listed as running products: d * f^k comes after
         d * f^(k-1) and after d, and the factors are canonical and distinct,
-        so no class comes twice.  Rings without unique factorization list
-        them all."""
+        so no class comes twice.  The irreducible ones are those factors.
+        Rings without unique factorization list them all."""
         counts = {}
         for f in self._factor_reps(a):
             counts[f] = counts.get(f, 0) + 1
@@ -284,10 +285,7 @@ class Ring:
                     d = self.mul(d, f)
                     step.append(d)
             divs += step
-        return [self.canonical(d) for d in divs[1:]]
-
-    def _irreducible(self, a) -> bool:
-        return len(self._factor_reps(a)) == 1
+        return [self.canonical(d) for d in divs[1:]], counts.keys
 
     def _gcd(self, a, b):
         """A greatest common divisor of a and b, on rings with ``has_gcd``."""
@@ -322,11 +320,15 @@ class Ring:
         """Every non-unit divisor class of a, a's own included, each once and
         after all of its divisors.  More than ``POINT_CAP`` of them raise
         ``FragmentTooLarge``; in a UFD that happens before they are listed."""
+        return self._listing(a)[0]
+
+    def _listing(self, a) -> tuple:
+        """``divisor_list(a)`` and the irreducibles function of ``_divisor_reps``."""
         self._require_operand(a)
-        reps = self._divisor_reps(a)
+        reps, atoms = self._divisor_reps(a)
         if len(reps) > POINT_CAP:
             raise FragmentTooLarge(len(reps), POINT_CAP)
-        return tuple(self._class(r) for r in reps)
+        return tuple(self._class(r) for r in reps), atoms
 
     def divisor_classes(self, a) -> frozenset:
         """The classes of ``divisor_list`` as a set."""
@@ -334,7 +336,7 @@ class Ring:
 
     def is_irreducible(self, a) -> bool:
         self._require_operand(a)
-        return self._irreducible(a)
+        return len(self._factor_reps(a)) == 1
 
     def factor(self, a) -> tuple:
         self._require_operand(a)
@@ -438,7 +440,8 @@ class IntegerRing(Ring):
         self._guard(a, self.ENUM_MAX)
         return super()._divisor_reps(a)
 
-    def _irreducible(self, a) -> bool:
+    def is_irreducible(self, a) -> bool:
+        self._require_operand(a)
         self._guard(a, self.VALUE_MAX)
         return is_prime(abs(a))
 
@@ -693,19 +696,6 @@ class PolynomialRing(Ring):
             out += self._factor_reps(Poly(self.p, f.coeffs[:: self.p])) * self.p
         return tuple(out)
 
-    def _irreducible(self, a) -> bool:
-        # Berlekamp's criterion: f with a root s is irreducible only as x - s; a
-        # root-free f is below degree 4, and above if square-free of rank(Q - I) n - 1
-        self._check(a)
-        self._guard(a.degree)
-        f, n = self.canonical(a), a.degree
-        if self._roots(f.coeffs):
-            return n == 1
-        if n < 4:
-            return True
-        df = self.poly([i * c for i, c in enumerate(f.coeffs)][1:])
-        return self.is_unit(self._gcd(f, df)) and len(self._q_echelon(f.coeffs)[1]) == n - 1
-
     def _berlekamp(self, f) -> list:
         """Monic irreducible factors of a monic square-free f (Berlekamp 1967).
 
@@ -861,8 +851,19 @@ class RootMinus5Ring(Ring):
                         reps.add(self.canonical(q))
                         if d > 1:
                             reps.add(c)
-        # a proper divisor has the smaller norm, sort_key's first entry
-        return sorted(reps, key=self.sort_key)
+        # a proper divisor has the smaller norm, sort_key's first entry; the
+        # irreducible ones are swept for only when asked for
+        listed = sorted(reps, key=self.sort_key)
+        return listed, lambda: self._atoms(listed)
+
+    def _atoms(self, listed) -> list:
+        # as _factor_reps peels: a reducible class has an irreducible proper
+        # divisor listed before it, and an irreducible one has none
+        atoms = []
+        for c in listed:
+            if all(self.divide(c, q) is None for q in atoms):
+                atoms.append(c)
+        return atoms
 
     def _factor_reps(self, a):
         # not a UFD, so peel: in an atomic domain the least proper divisor is
@@ -871,7 +872,7 @@ class RootMinus5Ring(Ring):
         # rest once d is reached, so one listing of a's divisors serves
         out = []
         rest = self.canonical(a)
-        for d in self._divisor_reps(rest):
+        for d in self._divisor_reps(rest)[0]:
             while d != rest and (q := self.divide(rest, d)) is not None:
                 out.append(d)
                 rest = self.canonical(q)

@@ -75,11 +75,12 @@ class Fragment:
     so an export that reads only the covering pairs derives none.
     """
 
-    def __init__(self, ring: Ring, points: tuple, covers: tuple, seeds: tuple):
+    def __init__(self, ring: Ring, points: tuple, covers: tuple, seeds: tuple, atoms=None):
         self.ring = ring
         self.points = points
         self.seeds = seeds
         self._covers = covers
+        self._atoms = atoms
         self.full_bits = (1 << len(points)) - 1
 
     @cached_property
@@ -155,6 +156,15 @@ class Fragment:
         return PointSet(self, sum(1 << j for j, col in enumerate(self.cols)
                                   if col.bit_count() == 1 and col.bit_length() == j + 1))
 
+    def irreducible(self) -> PointSet:
+        """Points whose class is irreducible, read from the ring's listing of
+        each seed and never from the columns: ``atoms`` holds what the build's
+        listings gave, and a fragment made without the build lists its seeds."""
+        atoms = self._atoms or [self.ring._listing(s.rep)[1] for s in self.seeds]
+        reps = {r for found in atoms for r in found()}
+        canonical = self.ring.canonical
+        return PointSet(self, sum(1 << j for j, p in enumerate(self.points) if canonical(p.rep) in reps))
+
     def specializes(self, p: ClassId, q: ClassId) -> bool:
         """True when q lies in the closure of {p}, i.e. p divides q."""
         return bool(self.cols[self.index_of(q)] >> self.index_of(p) & 1)
@@ -218,16 +228,16 @@ def build_fragment(ring: Ring, seeds: Iterable[ClassId]) -> Fragment:
     # and the union is refused at the first seed that takes it past the cap.
     # Largest first: a seed already in the union divides a listed seed, whose
     # divisor classes hold its own, so it is not listed again
-    classes = set()
-    divisor_sets = []
+    classes, listings = set(), []
     for s in sorted(seeds, key=ring.class_sort_key, reverse=True):
         if s not in classes:
-            divisor_sets.append(ring.divisor_list(s.rep))
-            classes.update(divisor_sets[-1])
+            listings.append(ring._listing(s.rep))
+            classes.update(listings[-1][0])
             if len(classes) > POINT_CAP:
                 raise FragmentTooLarge(len(classes), POINT_CAP)
     points = tuple(sorted(classes, key=lambda c: c.text))
-    return Fragment(ring, points, _divisibility(ring, points, divisor_sets), seeds)
+    divisor_sets, atoms = zip(*listings)
+    return Fragment(ring, points, _divisibility(ring, points, divisor_sets), seeds, atoms)
 
 
 def _divisibility(ring: Ring, points: tuple, divisor_sets: list) -> tuple:

@@ -5,8 +5,8 @@ from the adapters' factor-and-combine or norm-equation machinery, so these
 stay meaningful as cross-checks.  The n^2 divides matrix, the pairwise T0
 and nestedness loops, the per-point isolated check and the fp trial-division
 factorizer are the library's earlier implementations, kept as references for
-the irreducible-step build, the O(n) checks, the division certificates of
-``isolated_points`` and the finite-field factorizer, as is sympy's
+the irreducible-step build, the O(n) checks, the irreducibles that
+``isolated_points`` reads from each seed's listing and the finite-field factorizer, as is sympy's
 ``gf_factor``, which the Berlekamp factorizer replaced, and the unit search
 that the gauss quadrant rotation replaced.  ``conj_product_divide`` is the
 earlier gauss and zs5 exact division, through ``mul`` by the conjugate.  The

@@ -11,6 +11,7 @@ GUARD_ARGVS = {
     "p-over-bound": ("fragment", "--ring", "fp", "--p", "19", "--seeds", "x"),
     "chain": ("check", "--ring", "fp", "--p", "17", "--seeds", "x^12+x+1", "--props", "chain",
               "--n", "4096"),
+    "syntax": ("fragment", "--ring", "gauss", "--seeds", "1i2"),
 }
 
 

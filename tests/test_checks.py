@@ -149,22 +149,49 @@ def test_isolated_matches_per_point_loop(ring_seeds):
     assert report_to_json(C.isolated_points(f)) == report_to_json(isolated_oracle(f))
 
 
-def test_isolated_asks_the_ring_only_about_isolated_points(monkeypatch):
-    asked = []
-    for ring, seed in (
-        (Z, cz(720)),
-        (G, G.canonical_class(Gauss(6, 8))),
-        (F3, F3.canonical_class(F3.parse("x^6+2x^5+x^4"))),
-        (S5, S5.canonical_class(Root5(6, 0))),
-        (V2, V2.canonical_class(PPow(2, 9))),
-    ):
-        f = build_fragment(ring, [seed])
-        monkeypatch.setattr(ring, "is_irreducible", lambda a, ring=ring: asked.append(a) or True)
-        r = C.isolated_points(f)
-        monkeypatch.undo()
-        assert r.verdict == "holds"
-        assert asked == [p.rep for p, col in zip(f.points, f.cols) if col.bit_count() == 1]
-        asked.clear()
+@pytest.mark.parametrize(
+    "ring, seeds",
+    [
+        (Z, [720]),
+        (G, [Gauss(6, 8), Gauss(5, 0)]),
+        (F3, [F3.parse("x^6+2x^5+x^4")]),
+        (V2, [PPow(2, 9)]),
+    ],
+    ids=["z", "gauss", "fp", "valp"],
+)
+def test_isolated_on_a_ufd_neither_divides_nor_factors(monkeypatch, ring, seeds):
+    # the irreducible points are the seeds' distinct factors, which each
+    # seed's listing gave the build: the check divides nothing, tests no
+    # point and factors no seed again
+    f = build_fragment(ring, [ring.canonical_class(s) for s in seeds])
+    calls = []
+    for name in ("divide", "is_irreducible", "_factor_reps"):
+        real = getattr(ring, name)
+        monkeypatch.setattr(ring, name, lambda *a, name=name, real=real: calls.append(name) or real(*a))
+    r = C.isolated_points(f)
+    assert r.verdict == "holds" and calls == []
+
+
+@pytest.mark.parametrize("seeds", [[Root5(6, 0)], [Root5(7560, 0)], [Root5(18, -36), Root5(9, 0)]])
+def test_isolated_sweeps_zs5_once_per_class_and_earlier_irreducible(monkeypatch, seeds):
+    # zs5 has no unique factorization, so its listing sweeps for the
+    # irreducibles, and only when the check asks: a class is irreducible
+    # when no irreducible listed before it divides it, one division per pair
+    seeds = [S5.canonical_class(s) for s in seeds]
+    sweeps, divisions = [], []
+    atoms = type(S5)._atoms
+    monkeypatch.setattr(type(S5), "_atoms", lambda self, listed: sweeps.append(1) or atoms(self, listed))
+    f = build_fragment(S5, seeds)
+    assert sweeps == []
+    # the largest seed divides the other, so the build listed it alone
+    listed = S5.divisor_list(seeds[0].rep)
+    divide = S5.divide
+    monkeypatch.setattr(S5, "divide", lambda numer, denom: divisions.append(1) or divide(numer, denom))
+    r = C.isolated_points(f)
+    assert r.verdict == "holds"
+    irreducible = set(r.witnesses)
+    pairs = sum(len(irreducible.intersection(listed[:i])) for i in range(len(listed)))
+    assert sweeps == [1] and 0 < len(divisions) <= pairs
 
 
 @pytest.mark.parametrize(

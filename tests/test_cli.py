@@ -460,6 +460,22 @@ def test_fp_degree_12_isolated_check_finishes():
     assert json.loads(proc.stdout)["verdict"] == "holds"
 
 
+def test_fp_isolated_check_builds_q_once(capsys, monkeypatch):
+    # the listing factors the seed, which builds Q - I, and the check reads
+    # the seed's one factor from that listing instead of testing the point
+    # again (a degree-7 irreducible over F_13, as in the benchmark's
+    # small_mixed fp jobs)
+    seed = "x^7+x^6+8x^5+12x^4+8x^3+5x^2+2x+6"
+    calls = []
+    q_echelon = rings.PolynomialRing._q_echelon
+    monkeypatch.setattr(
+        rings.PolynomialRing, "_q_echelon", lambda self, f: calls.append(f) or q_echelon(self, f)
+    )
+    argv = ("check", "--ring", "fp", "--p", "13", "--seeds", seed, "--props", "isolated")
+    assert run(capsys, *argv, "--out", "text") == (0, f"isolated: holds [{seed}]\n", "")
+    assert len(calls) == 1
+
+
 # Runs the CLI in a fresh interpreter and reports on stderr whether sympy
 # was imported.
 SYMPY_PROBE = (

@@ -30,7 +30,6 @@ from readme import GUARD_ARGVS, cli_examples, readme_block  # noqa: E402
 
 # every def no traced job calls, with why it stays
 UNCALLED = {
-    "errors.ElementSyntaxError.__init__": "refusal path: element text outside the grammar",
     "rings.ClassId.__str__": "refusal path: the message of Fragment.index_of",
     "rings.Ring.__repr__": "debugging dunder",
     "topology.Fragment.__repr__": "debugging dunder",

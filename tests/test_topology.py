@@ -266,8 +266,8 @@ def test_build_lists_each_maximal_seed_once(monkeypatch, ring, seeds, listed):
     seeds = [ring.canonical_class(s) for s in seeds]
     union = set().union(*(ring.divisor_classes(s.rep) for s in seeds))
     calls = []
-    divisor_list = ring.divisor_list
-    monkeypatch.setattr(ring, "divisor_list", lambda a: calls.append(a) or divisor_list(a))
+    listing = ring._listing
+    monkeypatch.setattr(ring, "_listing", lambda a: calls.append(a) or listing(a))
     f = build_fragment(ring, seeds)
     assert calls == listed
     assert set(f.points) == union and f.seeds == tuple(seeds)
@@ -434,8 +434,8 @@ def test_union_is_refused_at_the_first_seed_past_the_cap(monkeypatch):
     # 43243200, so k seeds list 671 + 672*k, past the cap at the sixth
     seeds = [Z.canonical_class(43243200 * q) for q in range(17, 3000) if is_prime(q)][:200]
     calls = []
-    divisor_list = Z.divisor_list
-    monkeypatch.setattr(Z, "divisor_list", lambda a: calls.append(a) or divisor_list(a))
+    listing = Z._listing
+    monkeypatch.setattr(Z, "_listing", lambda a: calls.append(a) or listing(a))
     with pytest.raises(FragmentTooLarge, match="^4703 points exceeds the cap 4096$"):
         build_fragment(Z, seeds)
     assert len(calls) == 6
