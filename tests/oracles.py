@@ -6,10 +6,11 @@ stay meaningful as cross-checks.  The n^2 divides matrix, the pairwise T0
 and nestedness loops, the per-point isolated check and the fp trial-division
 factorizer are the library's earlier implementations, kept as references for
 the irreducible-step build, the O(n) checks, the irreducibles that
-``isolated_points`` reads from each seed's listing and the finite-field factorizer, as is sympy's
-``gf_factor``, which the Berlekamp factorizer replaced, and the unit search
-that the gauss quadrant rotation replaced.  ``conj_product_divide`` is the
-earlier gauss and zs5 exact division, through ``mul`` by the conjugate.  The
+``isolated_points`` reads from each seed's listing and the finite-field
+factorizer, as is sympy's ``gf_factor``, which the Berlekamp factorizer
+replaced, and the unit search that the gauss quadrant rotation replaced.
+``conj_product_divide`` is the earlier gauss and zs5 exact division, through
+``mul`` by the conjugate.  The
 gcd-intersection partner search and its frozenset intersection are the
 earlier versions of the fragment-column search, and the irreducible-step
 oracle, which divides each point by every earlier irreducible point, is the
