@@ -52,14 +52,16 @@ def check_t0(fragment: Fragment) -> CheckReport:
     """Every pair of distinct points is separated by some basic open.
 
     Basic opens are down-sets of a preorder, so two points fail to be
-    separated exactly when their basic opens coincide; the check keys the
-    columns in a dict and reports the first such pair in (i, j) order.
+    separated exactly when their basic opens coincide: T0 holds when the
+    columns are pairwise distinct, which one set of them shows.  Otherwise
+    the check keys the columns in a dict and reports the first pair that
+    coincides, in (i, j) order.
     """
-    pts = fragment.points
-    first = {}
-    pairs = ((first.setdefault(col, j), j) for j, col in enumerate(fragment.cols))
-    clash = min((ij for ij in pairs if ij[0] != ij[1]), default=None)
-    if clash is not None:
+    pts, cols = fragment.points, fragment.cols
+    if len(set(cols)) < len(cols):
+        first = {}
+        pairs = ((first.setdefault(col, j), j) for j, col in enumerate(cols))
+        clash = min(ij for ij in pairs if ij[0] != ij[1])
         return CheckReport(
             "t0",
             FAILS,

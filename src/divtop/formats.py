@@ -32,7 +32,8 @@ def ring_from_descriptor(d: dict) -> Ring:
 
 
 def _dumps(doc) -> str:
-    return json.dumps(doc, separators=(",", ":"))
+    # every document is a fresh tree, so there is no cycle to look for
+    return json.dumps(doc, separators=(",", ":"), check_circular=False)
 
 
 def _edges(fragment: Fragment, texts: list) -> list:

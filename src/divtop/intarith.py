@@ -6,11 +6,12 @@ which covers every value the enumeration guards admit.  Above it the test is
 Baillie-PSW: a strong base-2 test and a strong Lucas test (Baillie and
 Wagstaff 1980), with no known counterexample.
 
-``factor`` divides out the primes below ``TRIAL_BOUND``, then splits what is
-left with Pollard's rho in Brent's form (Pollard 1975, Brent 1980).  A call
-may take at most ``RHO_BUDGET`` rho steps in all, and raises ``SizeGuard``
-past it: an integer whose second-largest prime factor is large is refused,
-not worked on for minutes.
+``factor`` and ``is_prime`` try the primes below ``TRIAL_BOUND`` in turn and
+stop at the first q with q^2 > n, since what is left is then 1 or a prime.
+``factor`` splits what is left past them with Pollard's rho in Brent's form
+(Pollard 1975, Brent 1980).  A call may take at most ``RHO_BUDGET`` rho
+steps in all, and raises ``SizeGuard`` past it: an integer whose
+second-largest prime factor is large is refused, not worked on for minutes.
 """
 
 from __future__ import annotations
@@ -101,10 +102,10 @@ def _strong_lucas_probable_prime(n: int) -> bool:
 def is_prime(n: int) -> bool:
     """Whether n is prime (see the module docstring for how exact)."""
     for q in SMALL_PRIMES:
+        if q * q > n:
+            return n > 1
         if n % q == 0:
             return n == q
-    if n < TRIAL_BOUND * TRIAL_BOUND:
-        return n > 1
     if n < MR_EXACT_BELOW:
         return all(_strong_probable_prime(n, a) for a in MR_BASES)
     return (
@@ -159,6 +160,11 @@ def factor(n: int) -> dict:
     than ``RHO_BUDGET`` rho steps."""
     out = {}
     for q in SMALL_PRIMES:
+        if q * q > n:
+            # n has no prime factor below q, so it is 1 or a prime
+            if n > 1:
+                out[n] = 1
+            return out
         while n % q == 0:
             n //= q
             out[q] = out.get(q, 0) + 1

@@ -299,13 +299,15 @@ class Ring:
         if self.is_unit(e):
             raise ParameterError(f"{self.fmt(e)} is a unit of {self.name}")
 
-    def _class(self, rep) -> ClassId:
+    def _text(self, rep) -> str:
         # rep must already be canonical; Python refuses to print huge ints
         try:
-            text = self.fmt(rep)
+            return self.fmt(rep)
         except ValueError:
             raise SizeGuard(f"a {self.name} representative is too long to print") from None
-        return ClassId(self.name, rep, text)
+
+    def _class(self, rep) -> ClassId:
+        return ClassId(self.name, rep, self._text(rep))
 
     def canonical_class(self, e) -> ClassId:
         self._require_operand(e)
@@ -320,15 +322,16 @@ class Ring:
         """Every non-unit divisor class of a, a's own included, each once and
         after all of its divisors.  More than ``POINT_CAP`` of them raise
         ``FragmentTooLarge``; in a UFD that happens before they are listed."""
-        return self._listing(a)[0]
+        return tuple(map(self._class, self._listing(a)[0]))
 
     def _listing(self, a) -> tuple:
-        """``divisor_list(a)`` and the irreducibles function of ``_divisor_reps``."""
+        """The canonical reps of ``divisor_list(a)``, in its order, and the
+        irreducibles function of ``_divisor_reps``."""
         self._require_operand(a)
         reps, atoms = self._divisor_reps(a)
         if len(reps) > POINT_CAP:
             raise FragmentTooLarge(len(reps), POINT_CAP)
-        return tuple(self._class(r) for r in reps), atoms
+        return reps, atoms
 
     def divisor_classes(self, a) -> frozenset:
         """The classes of ``divisor_list`` as a set."""

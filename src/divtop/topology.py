@@ -11,6 +11,7 @@ fragment's (deterministically ordered) point list.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import repeat
 from typing import Iterable, Iterator
 
 from .errors import FragmentTooLarge, ParameterError, SizeGuard
@@ -70,17 +71,20 @@ class Fragment:
     masks the multiples of point i (the closure of the singleton).  Both are
     reflexive.  ``covers`` lists the covering pairs (i, j), every pair into
     a point before every pair out of it, as the build records them;
-    ``covering_pairs()`` sorts them.  Every table (the columns, the rows and
-    the point index) is derived from the covers on its first read and kept,
-    so an export that reads only the covering pairs derives none.
+    ``covering_pairs()`` sorts them.  The columns and the rows are derived
+    from the covers on their first read and kept, so an export that reads
+    only the covering pairs derives neither.  The point index maps each
+    point's rep to its position: the build hands over the one it made, and
+    a fragment made without the build derives it when it is made.
     """
 
-    def __init__(self, ring: Ring, points: tuple, covers: tuple, seeds: tuple, atoms=None):
+    def __init__(self, ring: Ring, points: tuple, covers: tuple, seeds: tuple, atoms=None, index=None):
         self.ring = ring
         self.points = points
         self.seeds = seeds
         self._covers = covers
         self._atoms = atoms
+        self._index = {c.rep: i for i, c in enumerate(points)} if index is None else index
         self.full_bits = (1 << len(points)) - 1
 
     @cached_property
@@ -101,10 +105,6 @@ class Fragment:
             rows[u] |= rows[v]
         return tuple(rows)
 
-    @cached_property
-    def _index(self) -> dict:
-        return {c: i for i, c in enumerate(self.points)}
-
     def __len__(self) -> int:
         return len(self.points)
 
@@ -122,13 +122,15 @@ class Fragment:
     # -- membership ---------------------------------------------------------
 
     def index_of(self, c: ClassId) -> int:
-        try:
-            return self._index[c]
-        except KeyError:
-            raise ParameterError(f"{c} is not a point of this fragment") from None
+        # reps of two rings may be equal tuples, so the point itself decides
+        i = self._index.get(c.rep)
+        if i is None or self.points[i] != c:
+            raise ParameterError(f"{c} is not a point of this fragment")
+        return i
 
     def __contains__(self, c: ClassId) -> bool:
-        return c in self._index
+        i = self._index.get(c.rep)
+        return i is not None and self.points[i] == c
 
     def claim(self, s: PointSet) -> None:
         if s.fragment is not self and s.fragment != self:
@@ -227,35 +229,40 @@ def build_fragment(ring: Ring, seeds: Iterable[ClassId]) -> Fragment:
     # fragment, so the ring can refuse an over-cap seed before it lists them,
     # and the union is refused at the first seed that takes it past the cap.
     # Largest first: a seed already in the union divides a listed seed, whose
-    # divisor classes hold its own, so it is not listed again
-    classes, listings = set(), []
+    # divisor classes hold its own, so it is not listed again.  The union
+    # keeps reps with their texts, and each point's class is made once
+    texts, listings = {}, []
+    text = ring._text
     for s in sorted(seeds, key=ring.class_sort_key, reverse=True):
-        if s not in classes:
+        if s.rep not in texts:
             listings.append(ring._listing(s.rep))
-            classes.update(listings[-1][0])
-            if len(classes) > POINT_CAP:
-                raise FragmentTooLarge(len(classes), POINT_CAP)
-    points = tuple(sorted(classes, key=lambda c: c.text))
-    divisor_sets, atoms = zip(*listings)
-    return Fragment(ring, points, _divisibility(ring, points, divisor_sets), seeds, atoms)
+            texts.update({r: text(r) for r in listings[-1][0] if r not in texts})
+            if len(texts) > POINT_CAP:
+                raise FragmentTooLarge(len(texts), POINT_CAP)
+    reps = sorted(texts, key=texts.__getitem__)
+    points = tuple(map(ClassId._make, zip(repeat(ring.name), reps, map(texts.__getitem__, reps))))
+    index = dict(zip(reps, range(len(reps))))
+    rep_lists, atoms = zip(*listings)
+    return Fragment(ring, points, _divisibility(ring, reps, index, rep_lists), seeds, atoms, index)
 
 
-def _divisibility(ring: Ring, points: tuple, divisor_sets: list) -> tuple:
-    """Covering pairs, in walk order, of the union of ``divisor_sets``,
-    listed in ``points``.  Each set is divisor-closed and lists every point
-    after all of its divisors, as ``Ring.divisor_list`` does.  A cover (u, v)
-    is recorded when v is walked, after every cover into u; ``Fragment``
-    derives its columns and rows from that order.
+def _divisibility(ring: Ring, reps: list, index: dict, rep_lists: list) -> tuple:
+    """Covering pairs, in walk order, of the union of ``rep_lists``, whose
+    points are ``reps`` and ``index`` maps each rep to its position there.
+    Each list is divisor-closed and lists every rep after all of its
+    divisors, as ``Ring._listing`` does.  A cover (u, v) is recorded when v
+    is walked, after every cover into u; ``Fragment`` derives its columns
+    and rows from that order.
 
     In an atomic domain every proper divisor of v divides v/q for some
     irreducible q dividing v, and a cover is exactly a step v/q -> v.  The
-    sets are walked in order, and the points of a set not walked before go
-    in the order the set lists them, so every irreducible point (atom) and
-    every v/q is walked before v.  Every atom dividing v lies in the set
-    being walked, so v tries only that set's atoms.  A point none of them
-    divides is an atom itself.  The proof below needs only these two things:
-    every atom dividing v is found before v, and the ring tries its atoms in
-    one fixed order.  A UFD tries the newest found first: a running product
+    lists are walked in order, and the points of a list not walked before
+    go in the order the list holds them, so every irreducible point (atom)
+    and every v/q is walked before v.  Every atom dividing v lies in the
+    list being walked, so v tries only that list's atoms.  A point none of
+    them divides is an atom itself.  The proof below needs only these two
+    things: every atom dividing v is found before v, and the ring tries its
+    atoms in one fixed order.  A UFD tries the newest found first: a running product
     d*f^k of a listing is walked after every atom dividing it, the newest of
     them is f, and so its first trial succeeds.  zs5 tries every atom
     anyway, and keeps the order they were found in.
@@ -264,7 +271,7 @@ def _divisibility(ring: Ring, points: tuple, divisor_sets: list) -> tuple:
     is the one quotient computed by division, and ``times[k][u] = v``
     records that first step.  Every other atom q dividing u gives
     v/q = (u/q)*q_k, an earlier point whose first atom is q_k too (it divides
-    v, and q_k divides it, and every set tries its atoms in the one order),
+    v, and q_k divides it, and every list tries its atoms in the one order),
     so it is read from ``times[k]``.  In a UFD an atom is prime, so q | v
     means q | u or q ~ q_k and nothing is left to find: a composite point
     costs one successful division plus the failed trials before it, and in
@@ -273,8 +280,7 @@ def _divisibility(ring: Ring, points: tuple, divisor_sets: list) -> tuple:
     divides 6 = (1+s)(1-s) in Z[sqrt(-5)]), so the atoms not found yet are
     still tried by division.
     """
-    n = len(points)
-    index = {c.rep: i for i, c in enumerate(points)}
+    n = len(reps)
     newest_first = ring.is_ufd
     # rank[k] orders atom k (named by its point index, as in times and
     # steps) among the atoms found so far
@@ -286,14 +292,14 @@ def _divisibility(ring: Ring, points: tuple, divisor_sets: list) -> tuple:
     # steps[v] lists (k, v / q_k) for every atom q_k dividing v; None until
     # v is walked
     steps = [None] * n
-    for divisors in divisor_sets:
-        members = [index[c.rep] for c in divisors]
+    for divisors in rep_lists:
+        members = [index[r] for r in divisors]
         known = sorted((k for k in members if k in rank), key=rank.get, reverse=newest_first)
-        tried = [points[k].rep for k in known]
+        tried = [reps[k] for k in known]
         for v in members:
             if steps[v] is not None:
                 continue
-            v_rep = points[v].rep
+            v_rep = reps[v]
             for q in tried:
                 w = ring.divide(v_rep, q)
                 if w is not None:

@@ -240,6 +240,11 @@ def down_sets_oracle(fragment) -> set:
     return out
 
 
+def point_index_oracle(fragment) -> dict:
+    """Each point's position, keyed by the whole class (ring, rep and text)."""
+    return {c: i for i, c in enumerate(fragment.points)}
+
+
 def point_set_classes_oracle(s) -> tuple:
     """The classes of point set s, by testing every bit of its mask in point
     order."""

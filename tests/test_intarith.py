@@ -46,6 +46,10 @@ def semiprime_like(lo, hi):
 @example(PSP_2_TO_31)
 @example(MR_EXACT_BELOW)
 @example(2**89 - 1)
+# trial division stops at the first q with q^2 > n; a prime square sits on
+# that bound
+@example(4)
+@example(997 * 997)
 def test_is_prime_matches_sympy(n):
     assert is_prime(n) == isprime(n)
 
@@ -62,6 +66,9 @@ def test_is_prime_on_primes(p):
                  semiprime_like(MR_EXACT_BELOW, 10**40)))
 @example(999999937 * 999999929)
 @example(2**64 + 1)
+@example(4)
+@example(997 * 997)
+@example(997 * 1009)
 def test_factor_matches_sympy(n):
     got = factor(n)
     assert got == factorint(n)

@@ -323,7 +323,8 @@ def test_listing_gives_the_irreducible_divisors(ring_elem):
     listed, atoms = ring._listing(e)
     found = list(atoms())
     assert len(set(found)) == len(found)
-    assert set(found) == {c.rep for c in listed if ring.is_irreducible(c.rep)}
+    assert set(found) == {r for r in listed if ring.is_irreducible(r)}
+    assert [c.rep for c in ring.divisor_list(e)] == list(listed)
 
 
 def test_over_cap_listing_is_refused_before_any_class_is_made(monkeypatch):

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from divtop import checks as C
+from divtop import topology
 from divtop.errors import ParameterError, SizeGuard
 from divtop.formats import fragment_from_json, fragment_to_json
 from divtop.rings import ClassId, Gauss, PPow, Ring, Root5, make_ring
@@ -25,6 +26,7 @@ from oracles import (
     irreducible_step_oracle,
     is_open_oracle,
     isolated_oracle,
+    point_index_oracle,
     point_set_classes_oracle,
 )
 from strategies import ELEMENTS, RING_SEEDS, V3, ufd_boxes
@@ -158,6 +160,12 @@ def test_ufd_fragment_is_its_exponent_box(ring_box):
         assert len(f.covering_pairs()) == edges - sum(1 for k in e if k)
 
 
+def walk(ring, points, rep_lists):
+    # the build's walk over listed reps, with the point index it would make
+    reps = [c.rep for c in points]
+    return _divisibility(ring, reps, {r: i for i, r in enumerate(reps)}, rep_lists)
+
+
 @pytest.mark.parametrize("ring, seed", [(Z, 720720), (G, Gauss(720720, 0))])
 def test_build_divides_once_per_composite_point(monkeypatch, ring, seed):
     # in a UFD the build divides a composite point only until the first atom
@@ -166,7 +174,7 @@ def test_build_divides_once_per_composite_point(monkeypatch, ring, seed):
     calls = []
     divide = ring.divide
     monkeypatch.setattr(ring, "divide", lambda numer, denom: calls.append(1) or divide(numer, denom))
-    _divisibility(ring, points, [sorted(points, key=ring.class_sort_key)])
+    walk(ring, points, [[c.rep for c in sorted(points, key=ring.class_sort_key)]])
     assert len(calls) < 2 * len(points)
 
 
@@ -208,12 +216,12 @@ def test_ufd_walk_of_one_listing_divides_once_per_composite_point(monkeypatch, r
     # and 242 on the fp(13) seed (152 now)
     seed = ring.canonical_class(seed)
     f = build_fragment(ring, [seed])
-    listing = ring.divisor_list(seed.rep)
+    listing = ring._listing(seed.rep)[0]
     n, a = len(f), len(f.isolated())
     calls = []
     divide = ring.divide
     monkeypatch.setattr(ring, "divide", lambda numer, denom: calls.append(1) or divide(numer, denom))
-    _divisibility(ring, f.points, [listing])
+    walk(ring, f.points, [listing])
     assert len(calls) == (n - a) + a * (a - 1) // 2
 
 
@@ -222,11 +230,11 @@ def test_zs5_walk_tries_its_atoms_in_found_order(monkeypatch):
     # newest first would read fewer covers from the quotient table
     seed = S5.canonical_class(S5.parse("18-36s"))
     f = build_fragment(S5, [seed])
-    listing = S5.divisor_list(seed.rep)
+    listing = S5._listing(seed.rep)[0]
     calls = []
     divide = S5.divide
     monkeypatch.setattr(S5, "divide", lambda numer, denom: calls.append(1) or divide(numer, denom))
-    _divisibility(S5, f.points, [listing])
+    walk(S5, f.points, [listing])
     assert len(f) == 35 and len(calls) == 222
 
 
@@ -493,6 +501,67 @@ def test_point_not_in_fragment():
         f.basic_open(Z.canonical_class(5))
     with pytest.raises(ParameterError, match="^7 is not a point of this fragment$"):
         f.point_set([Z.canonical_class(7)])
+
+
+@given(RING_SEEDS)
+# gauss 3 renamed to zs5 is zs5's class 3, and the reverse
+@example((G, [G.canonical_class(Gauss(3, 0))]))
+@example((S5, [S5.canonical_class(Root5(3, 0))]))
+@settings(max_examples=100, deadline=None)
+def test_point_index_matches_the_class_keyed_oracle(ring_seeds):
+    # the index is keyed by rep, and reps of two rings may be equal tuples
+    # (gauss 3 and zs5 3 are), so only the point itself is accepted: not a
+    # class of another ring with the same rep, nor a class that is no point.
+    # A fragment made without the build derives the same index
+    ring, seeds = ring_seeds
+    built = build_fragment(ring, seeds)
+    oracle = point_index_oracle(built)
+    top = max(built.points, key=ring.class_sort_key)
+    other = G.name if ring.name == S5.name else S5.name
+    outside = [ring.mul_class(top, top)] + [p._replace(ring=other) for p in built.points]
+    assert not oracle.keys() & set(outside)
+    for f in (built, Fragment(ring, built.points, built._covers, seeds)):
+        assert f._index == built._index
+        for c in built.points + tuple(outside):
+            assert (c in f) == (c in oracle)
+            if c in oracle:
+                assert f.index_of(c) == oracle[c]
+            else:
+                with pytest.raises(ParameterError, match="is not a point of this fragment$"):
+                    f.index_of(c)
+
+
+@pytest.mark.parametrize("seeds, points", [((360, 77), 26), ((360, 84), 29)])
+def test_a_union_build_makes_one_class_and_one_text_per_point(monkeypatch, seeds, points):
+    # the union keeps each listed rep with its text, so a rep that two seeds
+    # list (360 and 84 share 2, 3, 4, 6 and 12) is printed once, and each
+    # point's class is made once, after the sort.  Ring._class and
+    # ClassId._make are the only places the library makes a class
+    seeds = [Z.canonical_class(s) for s in seeds]
+    texts, classes = [], []
+    fmt = Z.fmt
+    monkeypatch.setattr(Z, "fmt", lambda e: texts.append(e) or fmt(e))
+    make_class = Ring._class
+    monkeypatch.setattr(Ring, "_class", lambda self, rep: classes.append(rep) or make_class(self, rep))
+    make = ClassId._make
+    monkeypatch.setattr(ClassId, "_make", classmethod(lambda cls, fields: classes.append(fields) or make(fields)))
+    f = build_fragment(Z, seeds)
+    assert len(texts) == len(classes) == len(f) == points
+
+
+def test_a_built_fragment_keeps_the_index_its_walk_read(monkeypatch):
+    # the build makes one rep-keyed point index, walks with it and hands it
+    # to the fragment; index_of, T0 and the nested check derive no second
+    indexes = []
+    walk_reps = topology._divisibility
+    monkeypatch.setattr(
+        topology, "_divisibility",
+        lambda ring, reps, index, rep_lists: indexes.append(index) or walk_reps(ring, reps, index, rep_lists),
+    )
+    f = zfrag(360, 77)
+    assert C.check_t0(f).verdict == "holds" and C.check_nested(f).verdict == "fails"
+    assert f.index_of(Z.canonical_class(77)) == f.points.index(Z.canonical_class(77))
+    assert len(indexes) == 1 and vars(f)["_index"] is indexes[0]
 
 
 # ---------------------------------------------------------------------------
