@@ -270,7 +270,7 @@ class Ring:
         built.  They are listed as running products: d * f^k comes after
         d * f^(k-1) and after d, and the factors are canonical and distinct,
         so no class comes twice.  The irreducible ones are those factors.
-        Rings without unique factorization list them all."""
+        Rings without unique factorization list them all, then count them."""
         counts = {}
         for f in self._factor_reps(a):
             counts[f] = counts.get(f, 0) + 1
@@ -318,24 +318,18 @@ class Ring:
             raise ParameterError(f"zero divides nothing in {self.name}")
         return self.divide(b, a) is not None
 
-    def divisor_list(self, a) -> tuple:
-        """Every non-unit divisor class of a, a's own included, each once and
-        after all of its divisors.  More than ``POINT_CAP`` of them raise
-        ``FragmentTooLarge``; in a UFD that happens before they are listed."""
-        return tuple(map(self._class, self._listing(a)[0]))
-
     def _listing(self, a) -> tuple:
-        """The canonical reps of ``divisor_list(a)``, in its order, and the
-        irreducibles function of ``_divisor_reps``."""
+        """``_divisor_reps`` of a class representative a: the canonical reps
+        of every non-unit divisor class of a, a's own included, each once and
+        after all of its divisors, and the irreducibles function."""
         self._require_operand(a)
-        reps, atoms = self._divisor_reps(a)
-        if len(reps) > POINT_CAP:
-            raise FragmentTooLarge(len(reps), POINT_CAP)
-        return reps, atoms
+        return self._divisor_reps(a)
 
     def divisor_classes(self, a) -> frozenset:
-        """The classes of ``divisor_list`` as a set."""
-        return frozenset(self.divisor_list(a))
+        """Every non-unit divisor class of a, a's own included.  More than
+        ``POINT_CAP`` of them raise ``FragmentTooLarge``; in a UFD that
+        happens before they are listed."""
+        return frozenset(map(self._class, self._listing(a)[0]))
 
     def is_irreducible(self, a) -> bool:
         self._require_operand(a)
@@ -854,8 +848,11 @@ class RootMinus5Ring(Ring):
                         reps.add(self.canonical(q))
                         if d > 1:
                             reps.add(c)
-        # a proper divisor has the smaller norm, sort_key's first entry; the
-        # irreducible ones are swept for only when asked for
+        # without unique factorization the classes are counted only once
+        # listed.  A proper divisor has the smaller norm, sort_key's first
+        # entry; the irreducible ones are swept for only when asked for
+        if len(reps) > POINT_CAP:
+            raise FragmentTooLarge(len(reps), POINT_CAP)
         listed = sorted(reps, key=self.sort_key)
         return listed, lambda: self._atoms(listed)
 

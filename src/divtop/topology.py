@@ -73,18 +73,18 @@ class Fragment:
     a point before every pair out of it, as the build records them;
     ``covering_pairs()`` sorts them.  The columns and the rows are derived
     from the covers on their first read and kept, so an export that reads
-    only the covering pairs derives neither.  The point index maps each
-    point's rep to its position: the build hands over the one it made, and
-    a fragment made without the build derives it when it is made.
+    only the covering pairs derives neither.  ``atoms`` holds the
+    irreducibles function of each listed seed, and ``index`` maps each
+    point's rep to its position, both as the build made them.
     """
 
-    def __init__(self, ring: Ring, points: tuple, covers: tuple, seeds: tuple, atoms=None, index=None):
+    def __init__(self, ring: Ring, points: tuple, covers: tuple, seeds: tuple, atoms: tuple, index: dict):
         self.ring = ring
         self.points = points
         self.seeds = seeds
         self._covers = covers
         self._atoms = atoms
-        self._index = {c.rep: i for i, c in enumerate(points)} if index is None else index
+        self._index = index
         self.full_bits = (1 << len(points)) - 1
 
     @cached_property
@@ -122,14 +122,13 @@ class Fragment:
     # -- membership ---------------------------------------------------------
 
     def index_of(self, c: ClassId) -> int:
-        # reps of two rings may be equal tuples, so the point itself decides
-        i = self._index.get(c.rep)
-        if i is None or self.points[i] != c:
+        if c not in self:
             raise ParameterError(f"{c} is not a point of this fragment")
-        return i
+        return self._index[c.rep]
 
     def __contains__(self, c: ClassId) -> bool:
-        i = self._index.get(c.rep)
+        # reps of two rings may be equal tuples, so the point itself decides
+        i = self._index.get(c.rep) if isinstance(c, ClassId) else None
         return i is not None and self.points[i] == c
 
     def claim(self, s: PointSet) -> None:
@@ -160,10 +159,8 @@ class Fragment:
 
     def irreducible(self) -> PointSet:
         """Points whose class is irreducible, read from the ring's listing of
-        each seed and never from the columns: ``atoms`` holds what the build's
-        listings gave, and a fragment made without the build lists its seeds."""
-        atoms = self._atoms or [self.ring._listing(s.rep)[1] for s in self.seeds]
-        reps = {r for found in atoms for r in found()}
+        each seed that the build kept, never from the columns."""
+        reps = {r for found in self._atoms for r in found()}
         canonical = self.ring.canonical
         return PointSet(self, sum(1 << j for j, p in enumerate(self.points) if canonical(p.rep) in reps))
 

@@ -184,12 +184,12 @@ def test_isolated_sweeps_zs5_once_per_class_and_earlier_irreducible(monkeypatch,
     f = build_fragment(S5, seeds)
     assert sweeps == []
     # the largest seed divides the other, so the build listed it alone
-    listed = S5.divisor_list(seeds[0].rep)
+    listed = S5._listing(seeds[0].rep)[0]
     divide = S5.divide
     monkeypatch.setattr(S5, "divide", lambda numer, denom: divisions.append(1) or divide(numer, denom))
     r = C.isolated_points(f)
     assert r.verdict == "holds"
-    irreducible = set(r.witnesses)
+    irreducible = {c.rep for c in r.witnesses}
     pairs = sum(len(irreducible.intersection(listed[:i])) for i in range(len(listed)))
     assert sweeps == [1] and 0 < len(divisions) <= pairs
 
@@ -209,7 +209,9 @@ def test_isolated_fails_on_corrupted_columns(reps, cols, witnesses):
     n = len(reps)
     points = tuple(ClassId("z", r, str(r)) for r in reps)
     rows = tuple(sum(1 << j for j in range(n) if cols[j] >> i & 1) for i in range(n))
-    f = Fragment(Z, points, (), points[-1:])
+    # the seed's irreducibles, as its listing gives them to the build
+    seed = points[-1]
+    f = Fragment(Z, points, (), (seed,), (Z._listing(seed.rep)[1],), {r: i for i, r in enumerate(reps)})
     f.cols, f.rows = cols, rows
     r = C.isolated_points(f)
     assert r.verdict == "fails"
@@ -285,7 +287,7 @@ def _preorder_fragment(n, edges):
                 rows[i] |= rows[k]
     cols = [sum(1 << i for i in range(n) if rows[i] >> j & 1) for j in range(n)]
     points = tuple(cz(k) for k in range(2, n + 2))
-    f = Fragment(Z, points, (), points[:1])
+    f = Fragment(Z, points, (), points[:1], (Z._listing(2)[1],), {p.rep: i for i, p in enumerate(points)})
     f.cols, f.rows = tuple(cols), tuple(rows)
     return f
 

@@ -298,15 +298,15 @@ def test_divisor_classes_against_oracle(ring_elem):
 @example((Z, 2**6 * 3**3 * 5))
 @example((S5, Root5(6, 0)))
 @settings(max_examples=150, deadline=None)
-def test_divisor_list_holds_each_class_once_after_its_divisors(ring_elem):
+def test_listing_holds_each_class_once_after_its_divisors(ring_elem):
     # the build walks each listing as it comes, so no class may come before
     # one of its divisors; two classes that divide each other are one class
     ring, e = ring_elem
-    listed = ring.divisor_list(e)
+    listed = ring._listing(e)[0]
     assert len(set(listed)) == len(listed)
-    assert set(listed) == ring.divisor_classes(e) == divisor_classes_oracle(ring, e)
+    assert set(map(ring._class, listed)) == ring.divisor_classes(e) == divisor_classes_oracle(ring, e)
     for i, c in enumerate(listed):
-        assert not any(ring.divides(c.rep, d.rep) for d in listed[:i]), (ring.name, e, c.text)
+        assert not any(ring.divides(c, d) for d in listed[:i]), (ring.name, e, ring.fmt(c))
 
 
 @given(RING_ELEMENTS)
@@ -324,7 +324,6 @@ def test_listing_gives_the_irreducible_divisors(ring_elem):
     found = list(atoms())
     assert len(set(found)) == len(found)
     assert set(found) == {r for r in listed if ring.is_irreducible(r)}
-    assert [c.rep for c in ring.divisor_list(e)] == list(listed)
 
 
 def test_over_cap_listing_is_refused_before_any_class_is_made(monkeypatch):
@@ -366,6 +365,17 @@ def test_divisor_classes_contain_self_and_are_transitive():
             assert ring.canonical_class(e) in classes
             for d in classes:
                 assert ring.divisor_classes(d.rep) <= classes
+
+
+def test_divisor_classes_take_a_class_representative():
+    # a unit has no non-unit divisor, and zero is no class: both are refused
+    # as every class operation refuses them, not listed
+    for ring in ALL_RINGS:
+        with pytest.raises(ParameterError, match=f"^{re.escape(ring.fmt(ring.one()))} is a unit of "):
+            ring.divisor_classes(ring.one())
+    for ring in (Z, G, F2, S5):
+        with pytest.raises(ParameterError, match="^zero is not a class representative in "):
+            ring.divisor_classes(ring.parse("0"))
 
 
 def test_divisor_enumeration_guards():
@@ -710,6 +720,22 @@ def test_fp_split_stops_once_the_factor_degrees_add_up(monkeypatch):
     assert len(calls) == 0
     factors = [c.text for c in F13.factor(F13.parse(TWO13))]
     assert factors == ["x^3+9x^2+8x+6", "x^4+10x^3+9x^2+3x+7"]
+    assert len(calls) == 3
+
+
+def test_berlekamp_stops_once_it_has_r_factors(monkeypatch):
+    # three root-free quadratics over F_5, so r = 3, and the first
+    # nonconstant null vector splits f into all three at the roots of one
+    # minimal polynomial.  The stop is read after the next null vector:
+    # 3 calls in all.  Without it that vector is tried on each of the three
+    # factors, 3 minimal polynomials more, for the same factors
+    calls = []
+    null_vector = PolynomialRing._null_vector
+    monkeypatch.setattr(
+        PolynomialRing, "_null_vector", lambda self, *a: calls.append(1) or null_vector(self, *a)
+    )
+    factors = [c.text for c in F5.factor(F5.parse("x^6+x^5+x^4+x^2+x+1"))]
+    assert factors == ["x^2+2", "x^2+3", "x^2+x+1"]
     assert len(calls) == 3
 
 

@@ -370,7 +370,7 @@ def test_isolated_reads_only_singleton_columns():
     n = len(cols)
     points = tuple(ClassId("z", r, str(r)) for r in (2, 3, 5, 7, 11))
     rows = tuple(sum(1 << j for j in range(n) if cols[j] >> i & 1) for i in range(n))
-    f = Fragment(Z, points, (), points[:1])
+    f = Fragment(Z, points, (), points[:1], (Z._listing(2)[1],), {p.rep: i for i, p in enumerate(points)})
     f.cols, f.rows = cols, rows
     assert f.isolated().bits == 0b00001
     assert f.isolated().texts() == ("2",)
@@ -511,24 +511,24 @@ def test_point_not_in_fragment():
 def test_point_index_matches_the_class_keyed_oracle(ring_seeds):
     # the index is keyed by rep, and reps of two rings may be equal tuples
     # (gauss 3 and zs5 3 are), so only the point itself is accepted: not a
-    # class of another ring with the same rep, nor a class that is no point.
-    # A fragment made without the build derives the same index
+    # class of another ring with the same rep, nor a class that is no point,
+    # nor a value that is no class at all
     ring, seeds = ring_seeds
-    built = build_fragment(ring, seeds)
-    oracle = point_index_oracle(built)
-    top = max(built.points, key=ring.class_sort_key)
+    f = build_fragment(ring, seeds)
+    oracle = point_index_oracle(f)
+    top = max(f.points, key=ring.class_sort_key)
     other = G.name if ring.name == S5.name else S5.name
-    outside = [ring.mul_class(top, top)] + [p._replace(ring=other) for p in built.points]
+    outside = [ring.mul_class(top, top), "2", 2, None] + [p._replace(ring=other) for p in f.points]
     assert not oracle.keys() & set(outside)
-    for f in (built, Fragment(ring, built.points, built._covers, seeds)):
-        assert f._index == built._index
-        for c in built.points + tuple(outside):
-            assert (c in f) == (c in oracle)
-            if c in oracle:
-                assert f.index_of(c) == oracle[c]
-            else:
-                with pytest.raises(ParameterError, match="is not a point of this fragment$"):
-                    f.index_of(c)
+    for c in f.points + tuple(outside):
+        assert (c in f) == (c in oracle)
+        if c in oracle:
+            assert f.index_of(c) == oracle[c]
+        else:
+            with pytest.raises(ParameterError, match="is not a point of this fragment$"):
+                f.index_of(c)
+            with pytest.raises(ParameterError, match="is not a point of this fragment$"):
+                c in f.full_set()
 
 
 @pytest.mark.parametrize("seeds, points", [((360, 77), 26), ((360, 84), 29)])
