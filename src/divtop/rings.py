@@ -255,9 +255,18 @@ class Ring:
         """
         raise NotImplementedError
 
-    def _factor_reps(self, a) -> tuple:
-        """Canonical irreducible factors of a, with multiplicity."""
+    def _factor_reps(self, a) -> dict:
+        """Canonical irreducible factors of a, each mapped to its exponent."""
         raise NotImplementedError
+
+    def _peel(self, rest, factors, counts: dict):
+        """Divide each of factors out of rest as often as it goes, adding one
+        to ``counts[f]`` per division, and return what is left."""
+        for f in factors:
+            while (q := self.divide(rest, f)) is not None:
+                counts[f] = counts.get(f, 0) + 1
+                rest = q
+        return rest
 
     def _divisor_reps(self, a) -> tuple:
         """Canonical reps of every non-unit divisor class of a, each once and
@@ -271,9 +280,7 @@ class Ring:
         d * f^(k-1) and after d, and the factors are canonical and distinct,
         so no class comes twice.  The irreducible ones are those factors.
         Rings without unique factorization list them all, then count them."""
-        counts = {}
-        for f in self._factor_reps(a):
-            counts[f] = counts.get(f, 0) + 1
+        counts = self._factor_reps(a)
         total = math.prod(e + 1 for e in counts.values()) - 1
         if total > POINT_CAP:
             raise FragmentTooLarge(total, POINT_CAP)
@@ -333,12 +340,13 @@ class Ring:
 
     def is_irreducible(self, a) -> bool:
         self._require_operand(a)
-        return len(self._factor_reps(a)) == 1
+        return list(self._factor_reps(a).values()) == [1]
 
     def factor(self, a) -> tuple:
         self._require_operand(a)
-        reps = sorted(self._factor_reps(a), key=self.sort_key)
-        return tuple(self._class(r) for r in reps)
+        counts = self._factor_reps(a)
+        reps = sorted(counts, key=self.sort_key)
+        return tuple(c for r in reps for c in (self._class(r),) * counts[r])
 
     def gcd_class(self, a, b) -> Optional[ClassId]:
         if not self.has_gcd:
@@ -428,10 +436,7 @@ class IntegerRing(Ring):
 
     def _factor_reps(self, a):
         self._guard(a, self.VALUE_MAX)
-        out = []
-        for p, e in factor(abs(a)).items():
-            out.extend([p] * e)
-        return tuple(out)
+        return factor(abs(a))
 
     def _divisor_reps(self, a):
         self._guard(a, self.ENUM_MAX)
@@ -522,7 +527,7 @@ class GaussianRing(Ring):
 
     def _factor_reps(self, a):
         self._guard_norm(a)
-        out = []
+        counts = {}
         rest = a
         for p in factor(a.norm):
             if p == 2:
@@ -532,12 +537,9 @@ class GaussianRing(Ring):
             else:
                 pi = self._prime_above(p)
                 cands = [pi, self.canonical(pi.conj())]
-            for pi in cands:
-                while (q := self.divide(rest, pi)) is not None:
-                    out.append(pi)
-                    rest = q
+            rest = self._peel(rest, cands, counts)
         assert self.is_unit(rest)
-        return tuple(out)
+        return counts
 
 
 # ---------------------------------------------------------------------------
@@ -674,24 +676,17 @@ class PolynomialRing(Ring):
         # c^p = c for every c in F_p
         self._check(a)
         self._guard(a.degree)
-        p, f = self.p, self.canonical(a)
-        out = []
-        for s in self._roots(f.coeffs):
-            root = Poly(p, (-s % p, 1))
-            while (q := self.divide(f, root)) is not None:
-                out.append(root)
-                f = q
+        p, counts, f = self.p, {}, self.canonical(a)
+        f = self._peel(f, [Poly(p, (-s % p, 1)) for s in self._roots(f.coeffs)], counts)
         if f.degree < 4:
-            return tuple(out) if self.is_unit(f) else (*out, f)
+            return counts if self.is_unit(f) else {**counts, f: 1}
         df = self.poly([i * c for i, c in enumerate(f.coeffs)][1:])
         if not self.is_zero(df):
-            for g in self._berlekamp(self.canonical(self.divide(f, self._gcd(f, df)))):
-                while (q := self.divide(f, g)) is not None:
-                    out.append(g)
-                    f = q
+            square_free = self.canonical(self.divide(f, self._gcd(f, df)))
+            f = self._peel(f, self._berlekamp(square_free), counts)
         if not self.is_unit(f):
-            out += self._factor_reps(Poly(self.p, f.coeffs[:: self.p])) * self.p
-        return tuple(out)
+            counts |= {g: e * p for g, e in self._factor_reps(Poly(p, f.coeffs[::p])).items()}
+        return counts
 
     def _berlekamp(self, f) -> list:
         """Monic irreducible factors of a monic square-free f (Berlekamp 1967).
@@ -867,17 +862,13 @@ class RootMinus5Ring(Ring):
 
     def _factor_reps(self, a):
         # not a UFD, so peel: in an atomic domain the least proper divisor is
-        # irreducible, and splitting it off until none is left factors a.
-        # Every divisor of rest divides a, and none listed before d divides
-        # rest once d is reached, so one listing of a's divisors serves
-        out = []
-        rest = self.canonical(a)
-        for d in self._divisor_reps(rest)[0]:
-            while d != rest and (q := self.divide(rest, d)) is not None:
-                out.append(d)
-                rest = self.canonical(q)
-        out.append(rest)
-        return tuple(out)
+        # irreducible, and splitting it off until a unit is left factors a.
+        # Every divisor of the rest divides a, and none listed before d
+        # divides the rest once d is reached, so one listing of a's divisors,
+        # a's own class last, serves
+        counts = {}
+        self._peel(a, self._divisor_reps(a)[0], counts)
+        return counts
 
 
 # ---------------------------------------------------------------------------
@@ -944,7 +935,7 @@ class PPowerRing(Ring):
 
     def _factor_reps(self, a):
         self._check(a)
-        return (PPow(self.p, 1),) * a.k
+        return {PPow(self.p, 1): a.k}
 
     def _gcd(self, a, b):
         return PPow(self.p, min(a.k, b.k))

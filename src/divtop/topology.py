@@ -14,7 +14,7 @@ from functools import cached_property
 from itertools import repeat
 from typing import Iterable, Iterator
 
-from .errors import FragmentTooLarge, ParameterError, SizeGuard
+from .errors import FragmentTooLarge, ParameterError, SizeGuard, brief
 from .rings import POINT_CAP, ClassId, Ring
 
 ENUM_CAP = 20
@@ -123,7 +123,8 @@ class Fragment:
 
     def index_of(self, c: ClassId) -> int:
         if c not in self:
-            raise ParameterError(f"{c} is not a point of this fragment")
+            shown = c.text if isinstance(c, ClassId) else brief(c)
+            raise ParameterError(f"{shown} is not a point of this fragment")
         return self._index[c.rep]
 
     def __contains__(self, c: ClassId) -> bool:
@@ -154,8 +155,7 @@ class Fragment:
 
     def isolated(self) -> PointSet:
         """Points whose basic open is the point alone."""
-        return PointSet(self, sum(1 << j for j, col in enumerate(self.cols)
-                                  if col.bit_count() == 1 and col.bit_length() == j + 1))
+        return PointSet(self, sum(1 << j for j, col in enumerate(self.cols) if col == 1 << j))
 
     def irreducible(self) -> PointSet:
         """Points whose class is irreducible, read from the ring's listing of

@@ -80,6 +80,20 @@ MUTANTS = [
         ["tests/test_rings.py"],
     ),
     (
+        "_peel divides each factor out at most once",
+        "rings.py",
+        "            while (q := self.divide(rest, f)) is not None:\n",
+        "            if (q := self.divide(rest, f)) is not None:\n",
+        ["tests/test_rings.py"],
+    ),
+    (
+        "fp's p-th-root recursion keeps the root's exponents",
+        "rings.py",
+        "{g: e * p for g, e in",
+        "{g: e for g, e in",
+        ["tests/test_rings.py"],
+    ),
+    (
         "Berlekamp reads null vectors past r factors",
         "rings.py",
         "            if len(factors) == r:\n                break\n",
