@@ -17,7 +17,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Mapping, NamedTuple, Sequence
 
-from .errors import ParameterError, SizeGuard
+from .errors import ParameterError, SizeGuard, brief
 from .rings import POINT_CAP, ClassId, Ring
 from .topology import ENUM_CAP, Fragment, PointSet, build_fragment
 
@@ -36,6 +36,11 @@ class CheckReport(NamedTuple):
 
     def witness_texts(self) -> list:
         return [w.text for w in self.witnesses]
+
+
+def _require_fragment(value) -> None:
+    if not isinstance(value, Fragment):
+        raise ParameterError(f"{brief(value)} is not a fragment")
 
 
 def _texts(s) -> list:
@@ -57,7 +62,8 @@ def check_t0(fragment: Fragment) -> CheckReport:
     the check keys the columns in a dict and reports the first pair that
     coincides, in (i, j) order.
     """
-    pts, cols = fragment.points, fragment.cols
+    _require_fragment(fragment)
+    cols = fragment.cols
     if len(set(cols)) < len(cols):
         first = {}
         pairs = ((first.setdefault(col, j), j) for j, col in enumerate(cols))
@@ -65,13 +71,13 @@ def check_t0(fragment: Fragment) -> CheckReport:
         return CheckReport(
             "t0",
             FAILS,
-            (pts[clash[0]], pts[clash[1]]),
+            tuple(map(fragment.point, clash)),
             {"reason": "mutually dividing distinct points"},
         )
-    n = len(pts)
+    n = len(fragment)
     details = {"pairs_checked": n * (n - 1) // 2}
     if n > 1:
-        p, q = pts[0], pts[1]
+        p, q = fragment.point(0), fragment.point(1)
         if not fragment.specializes(p, q):
             # p does not divide q, so the basic open at q misses p
             sep, inside, outside = fragment.basic_open(q), q, p
@@ -116,6 +122,7 @@ def t1_failure_witness(ring: Ring, a: ClassId) -> CheckReport:
 def isolated_points(fragment: Fragment) -> CheckReport:
     """Points whose basic open is a singleton; must coincide with the
     irreducible representatives, which the ring's factorization gives."""
+    _require_fragment(fragment)
     isolated, irred = fragment.isolated(), fragment.irreducible()
     match = isolated.bits == irred.bits
     # on a mismatch the symmetric difference is the witness (in point order)
@@ -144,19 +151,20 @@ def check_nested(fragment: Fragment) -> CheckReport:
     failing pair (i, j) has the lowest i with any such point, and then all of
     them lie above i, since a lower one would have failed first.
     """
-    pts = fragment.points
+    _require_fragment(fragment)
     valuation = fragment.ring.is_valuation
     for i, (row, col) in enumerate(zip(fragment.rows, fragment.cols)):
         apart = ~(row | col) & fragment.full_bits
         if apart:
             j = (apart & -apart).bit_length() - 1
+            p, q = fragment.point(i), fragment.point(j)
             return CheckReport(
                 "nested",
                 FAILS,
-                (pts[i], pts[j]),
+                (p, q),
                 {
-                    "open_left": _texts(fragment.basic_open(pts[i])),
-                    "open_right": _texts(fragment.basic_open(pts[j])),
+                    "open_left": _texts(fragment.basic_open(p)),
+                    "open_right": _texts(fragment.basic_open(q)),
                     "ring_is_valuation": valuation,
                 },
             )
@@ -164,7 +172,7 @@ def check_nested(fragment: Fragment) -> CheckReport:
         "nested",
         HOLDS,
         (),
-        {"points": len(pts), "ring_is_valuation": valuation},
+        {"points": len(fragment), "ring_is_valuation": valuation},
     )
 
 
@@ -237,6 +245,7 @@ def density_check(ring: Ring, samples: Sequence[ClassId]) -> CheckReport:
 def dense_open_check(fragment: Fragment) -> CheckReport:
     """Dense opens all contain the isolated points, and their intersection is
     dense again (one-fragment Baire echo)."""
+    _require_fragment(fragment)
     if len(fragment) > DENSE_OPEN_CAP:
         raise SizeGuard(f"{len(fragment)} points exceeds the dense-open cap {DENSE_OPEN_CAP}")
     iso = fragment.isolated()
@@ -421,6 +430,7 @@ def noetherian_chain(ring: Ring, a: ClassId, n: int) -> CheckReport:
 
 def maximal_basic_open(fragment: Fragment, subfamily: Sequence[ClassId]) -> CheckReport:
     """Inclusion-maximal members of a finite family of basic opens."""
+    _require_fragment(fragment)
     subfamily = list(subfamily)
     if not subfamily:
         raise ParameterError("subfamily of basic opens is empty")

@@ -47,7 +47,7 @@ def cmd_fragment(ring: Ring, args) -> int:
     if args.out == "dot":
         sys.stdout.write(fragment_to_dot(fragment))
     elif args.out == "text":
-        texts = [p.text for p in fragment.points]
+        texts = fragment.texts
         print(f"ring: {ring.name}")
         print("points:", " ".join(texts))
         print("edges:", " ".join(f"{texts[i]}->{texts[j]}" for i, j in fragment.covering_pairs()))

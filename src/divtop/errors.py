@@ -32,9 +32,10 @@ class DivtopError(Exception):
 class ParameterError(DivtopError, ValueError):
     """An operand or parameter the operation does not allow: zero or a unit
     where a class is due, a class of another ring, a point or point set of
-    another fragment, a missing or bad p, an empty family, inputs that are
-    not irreducible or not pairwise non-associated, an operation the ring
-    lacks, or a check, stream or command-line parameter out of range."""
+    another fragment, a value that is no fragment where a check takes one,
+    a missing or bad p, an empty family, inputs that are not irreducible or
+    not pairwise non-associated, an operation the ring lacks, or a check,
+    stream or command-line parameter out of range."""
 
 
 class SizeGuard(DivtopError):

@@ -36,18 +36,18 @@ def _dumps(doc) -> str:
     return json.dumps(doc, separators=(",", ":"), check_circular=False)
 
 
-def _edges(fragment: Fragment, texts: list) -> list:
+def _edges(fragment: Fragment) -> list:
+    texts = fragment.texts
     return [[texts[i], texts[j]] for i, j in fragment.covering_pairs()]
 
 
 def fragment_to_json(fragment: Fragment) -> str:
-    texts = [p.text for p in fragment.points]
     doc = {
         "schema": SCHEMA,
         "ring": ring_descriptor(fragment.ring),
         "seeds": [s.text for s in fragment.seeds],
-        "points": texts,
-        "edges": _edges(fragment, texts),
+        "points": fragment.texts,
+        "edges": _edges(fragment),
     }
     return _dumps(doc)
 
@@ -73,16 +73,15 @@ def fragment_from_json(text: str) -> Fragment:
     seed_texts, point_texts = _texts(doc, "seeds"), _texts(doc, "points")
     seeds = tuple(ring.canonical_class(ring.parse(t)) for t in seed_texts)
     fragment = build_fragment(ring, seeds)
-    points = [p.text for p in fragment.points]
-    if points != point_texts:
+    if list(fragment.texts) != point_texts:
         raise DivtopError("point list does not match the fragment its seeds build")
-    if doc.get("edges") != _edges(fragment, points):
+    if doc.get("edges") != _edges(fragment):
         raise DivtopError("edge list does not match the covering pairs of the fragment")
     return fragment
 
 
 def fragment_to_dot(fragment: Fragment) -> str:
-    texts = [p.text for p in fragment.points]
+    texts = fragment.texts
     lines = ["digraph fragment {", "  rankdir=BT;"]
     for t in texts:
         lines.append(f'  "{t}";')

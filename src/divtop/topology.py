@@ -30,11 +30,11 @@ class PointSet:
         self.bits = bits
 
     def classes(self) -> tuple:
-        pts = self.fragment.points
-        return tuple(pts[i] for i in _iter_bits(self.bits))
+        return tuple(map(self.fragment.point, _iter_bits(self.bits)))
 
     def texts(self) -> tuple:
-        return tuple(c.text for c in self.classes())
+        texts = self.fragment.texts
+        return tuple(texts[i] for i in _iter_bits(self.bits))
 
     def __iter__(self) -> Iterator[ClassId]:
         return iter(self.classes())
@@ -67,57 +67,68 @@ class PointSet:
 class Fragment:
     """Divisor-closed point list plus its divisibility relation.
 
-    ``cols[j]`` masks the divisors of point j (the basic open), ``rows[i]``
-    masks the multiples of point i (the closure of the singleton).  Both are
-    reflexive.  ``covers`` lists the covering pairs (i, j), every pair into
-    a point before every pair out of it, as the build records them;
-    ``covering_pairs()`` sorts them.  The columns and the rows are derived
-    from the covers on their first read and kept, so an export that reads
-    only the covering pairs derives neither.  ``atoms`` holds the
-    irreducibles function of each listed seed, and ``index`` maps each
-    point's rep to its position, both as the build made them.
+    ``reps`` and ``texts`` list the points; ``point(i)`` makes point i's
+    class, and ``points`` all of them on first read.  ``cols[j]`` masks the
+    divisors of point j (the basic open), ``rows[i]`` the multiples of point
+    i (the closure of the singleton); both are reflexive.  ``steps`` maps
+    each point v, in walk order, to its steps (k, x): x -> v is a covering
+    pair, or x is n, the unit, when v is an atom.  ``covering_pairs()``
+    sorts them, and the columns and rows are derived from them on first
+    read and kept.  ``atoms`` holds the irreducibles function of each listed
+    seed, and ``index`` maps each point's rep to its position, both as the
+    build made them.
     """
 
-    def __init__(self, ring: Ring, points: tuple, covers: tuple, seeds: tuple, atoms: tuple, index: dict):
+    def __init__(self, ring: Ring, reps: tuple, texts: tuple, steps: dict, seeds: tuple, atoms: tuple, index: dict):
         self.ring = ring
-        self.points = points
+        self.reps = reps
+        self.texts = texts
         self.seeds = seeds
-        self._covers = covers
+        self._steps = steps
         self._atoms = atoms
         self._index = index
-        self.full_bits = (1 << len(points)) - 1
+        self.full_bits = (1 << len(reps)) - 1
+
+    def point(self, i: int) -> ClassId:
+        return ClassId(self.ring.name, self.reps[i], self.texts[i])
+
+    @cached_property
+    def points(self) -> tuple:
+        return tuple(map(self.point, range(len(self.reps))))
 
     @cached_property
     def cols(self) -> tuple:
-        # the covers into u come before every cover out of u (walk order),
-        # so cols[u] is complete before it is merged into cols[v]
-        cols = [1 << i for i in range(len(self.points))]
-        for u, v in self._covers:
-            cols[v] |= cols[u]
-        return tuple(cols)
+        # x is walked before v, so cols[x] is complete before it is merged
+        # into cols[v]; the unit's slot n holds nothing and is dropped
+        cols = [1 << i for i in range(len(self.reps))] + [0]
+        for v, step in self._steps.items():
+            for _, x in step:
+                cols[v] |= cols[x]
+        return tuple(cols[:-1])
 
     @cached_property
     def rows(self) -> tuple:
         # the same order read backwards completes rows[v] before it is
-        # merged into rows[u]
-        rows = [1 << i for i in range(len(self.points))]
-        for u, v in reversed(self._covers):
-            rows[u] |= rows[v]
-        return tuple(rows)
+        # merged into rows[x]
+        rows = [1 << i for i in range(len(self.reps))] + [0]
+        for v, step in reversed(self._steps.items()):
+            for _, x in step:
+                rows[x] |= rows[v]
+        return tuple(rows[:-1])
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.reps)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Fragment)
             and self.ring.name == other.ring.name
-            and self.points == other.points
+            and self.reps == other.reps
             and self.seeds == other.seeds
         )
 
     def __repr__(self) -> str:
-        return f"<fragment {self.ring.name} with {len(self.points)} points>"
+        return f"<fragment {self.ring.name} with {len(self.reps)} points>"
 
     # -- membership ---------------------------------------------------------
 
@@ -130,7 +141,7 @@ class Fragment:
     def __contains__(self, c: ClassId) -> bool:
         # reps of two rings may be equal tuples, so the point itself decides
         i = self._index.get(c.rep) if isinstance(c, ClassId) else None
-        return i is not None and self.points[i] == c
+        return i is not None and self.point(i) == c
 
     def claim(self, s: PointSet) -> None:
         if s.fragment is not self and s.fragment != self:
@@ -160,9 +171,8 @@ class Fragment:
     def irreducible(self) -> PointSet:
         """Points whose class is irreducible, read from the ring's listing of
         each seed that the build kept, never from the columns."""
-        reps = {r for found in self._atoms for r in found()}
-        canonical = self.ring.canonical
-        return PointSet(self, sum(1 << j for j, p in enumerate(self.points) if canonical(p.rep) in reps))
+        index = self._index
+        return PointSet(self, sum({1 << index[r] for found in self._atoms for r in found()}))
 
     def specializes(self, p: ClassId, q: ClassId) -> bool:
         """True when q lies in the closure of {p}, i.e. p divides q."""
@@ -181,7 +191,7 @@ class Fragment:
     def enumerate_opens(self) -> Iterator[PointSet]:
         """Yield every open (divisor-closed) subset exactly once, incl. the
         empty set and the whole fragment.  Consumers may stop early."""
-        n = len(self.points)
+        n = len(self.reps)
         if n > ENUM_CAP:
             raise SizeGuard(f"{n} points exceeds the enumeration cap {ENUM_CAP}")
         # process points so that divisors come first; then a point may join
@@ -202,7 +212,9 @@ class Fragment:
 
     def covering_pairs(self) -> list:
         """Transitive reduction of the divisibility relation, as sorted index pairs."""
-        return sorted(self._covers)
+        n = len(self.reps)
+        codes = sorted(x * n + v for v, step in self._steps.items() for _, x in step if x < n)
+        return list(map(divmod, codes, repeat(n)))
 
 
 def _iter_bits(bits: int) -> Iterator[int]:
@@ -227,7 +239,7 @@ def build_fragment(ring: Ring, seeds: Iterable[ClassId]) -> Fragment:
     # and the union is refused at the first seed that takes it past the cap.
     # Largest first: a seed already in the union divides a listed seed, whose
     # divisor classes hold its own, so it is not listed again.  The union
-    # keeps reps with their texts, and each point's class is made once
+    # keeps reps with their texts; no class is made
     texts, listings = {}, []
     text = ring._text
     for s in sorted(seeds, key=ring.class_sort_key, reverse=True):
@@ -236,20 +248,21 @@ def build_fragment(ring: Ring, seeds: Iterable[ClassId]) -> Fragment:
             texts.update({r: text(r) for r in listings[-1][0] if r not in texts})
             if len(texts) > POINT_CAP:
                 raise FragmentTooLarge(len(texts), POINT_CAP)
-    reps = sorted(texts, key=texts.__getitem__)
-    points = tuple(map(ClassId._make, zip(repeat(ring.name), reps, map(texts.__getitem__, reps))))
+    reps = tuple(sorted(texts, key=texts.__getitem__))
     index = dict(zip(reps, range(len(reps))))
     rep_lists, atoms = zip(*listings)
-    return Fragment(ring, points, _divisibility(ring, reps, index, rep_lists), seeds, atoms, index)
+    steps = _divisibility(ring, reps, index, rep_lists)
+    return Fragment(ring, reps, tuple(map(texts.__getitem__, reps)), steps, seeds, atoms, index)
 
 
-def _divisibility(ring: Ring, reps: list, index: dict, rep_lists: list) -> tuple:
-    """Covering pairs, in walk order, of the union of ``rep_lists``, whose
-    points are ``reps`` and ``index`` maps each rep to its position there.
-    Each list is divisor-closed and lists every rep after all of its
-    divisors, as ``Ring._listing`` does.  A cover (u, v) is recorded when v
-    is walked, after every cover into u; ``Fragment`` derives its columns
-    and rows from that order.
+def _divisibility(ring: Ring, reps: tuple, index: dict, rep_lists: list) -> dict:
+    """Each point's steps, keyed by point in walk order, over the union of
+    ``rep_lists``, whose points are ``reps`` and ``index`` maps each rep to
+    its position there.  Each list is divisor-closed and lists every rep
+    after all of its divisors, as ``Ring._listing`` does.  A point's steps
+    are recorded when it is walked, after the steps of every point they
+    start from; ``Fragment`` derives its columns, rows and covering pairs
+    from them.
 
     In an atomic domain every proper divisor of v divides v/q for some
     irreducible q dividing v, and a cover is exactly a step v/q -> v.  The
@@ -282,19 +295,18 @@ def _divisibility(ring: Ring, reps: list, index: dict, rep_lists: list) -> tuple
     # rank[k] orders atom k (named by its point index, as in times and
     # steps) among the atoms found so far
     rank = {}
-    covers = []
     # times[k] maps u to the point whose first step is u -> u * q_k; n stands
     # for the unit class, so an atom's own first step is n -> atom
     times = [None] * n
-    # steps[v] lists (k, v / q_k) for every atom q_k dividing v; None until
-    # v is walked
-    steps = [None] * n
+    # steps[v] lists (k, v / q_k) for every atom q_k dividing v, once v is
+    # walked; an atom's one step is (v, n)
+    steps = {}
     for divisors in rep_lists:
         members = [index[r] for r in divisors]
         known = sorted((k for k in members if k in rank), key=rank.get, reverse=newest_first)
         tried = [reps[k] for k in known]
         for v in members:
-            if steps[v] is not None:
+            if v in steps:
                 continue
             v_rep = reps[v]
             for q in tried:
@@ -321,6 +333,4 @@ def _divisibility(ring: Ring, reps: list, index: dict, rep_lists: list) -> tuple
                     if index[q] not in found and (w := ring.divide(v_rep, q)) is not None:
                         step.append((index[q], index[ring.canonical(w)]))
             steps[v] = step
-            for _, x in step:
-                covers.append((x, v))
-    return tuple(covers)
+    return steps

@@ -33,7 +33,7 @@ MUTANTS = [
     (
         "membership accepts another ring's class of an equal rep",
         "topology.py",
-        "        return i is not None and self.points[i] == c\n",
+        "        return i is not None and self.point(i) == c\n",
         "        return i is not None\n",
         ["tests/test_topology.py"],
     ),
@@ -59,11 +59,46 @@ MUTANTS = [
         ["tests/test_topology.py"],
     ),
     (
-        "the rows walk the covers forwards",
+        "the rows walk the steps forwards",
         "topology.py",
-        "        for u, v in reversed(self._covers):\n",
-        "        for u, v in self._covers:\n",
+        "        for v, step in reversed(self._steps.items()):\n",
+        "        for v, step in self._steps.items():\n",
         ["tests/test_topology.py"],
+    ),
+    (
+        "the columns walk the steps backwards",
+        "topology.py",
+        "        for v, step in self._steps.items():\n",
+        "        for v, step in reversed(self._steps.items()):\n",
+        ["tests/test_topology.py"],
+    ),
+    (
+        "isolated() takes every column that holds its own point",
+        "topology.py",
+        "if col == 1 << j))",
+        "if col >> j & 1))",
+        ["tests/test_topology.py"],
+    ),
+    (
+        "irreducible() reads only the first listed seed's irreducibles",
+        "topology.py",
+        "for found in self._atoms for r in found()",
+        "for found in self._atoms[:1] for r in found()",
+        ["tests/test_checks.py"],
+    ),
+    (
+        "irreducible() adds the bit of an atom that two seeds list twice",
+        "topology.py",
+        "sum({1 << index[r] for found in self._atoms for r in found()})",
+        "sum([1 << index[r] for found in self._atoms for r in found()])",
+        ["tests/test_checks.py"],
+    ),
+    (
+        "covering_pairs() keeps the unit's pseudo-covers of the atoms",
+        "topology.py",
+        " for _, x in step if x < n)",
+        " for _, x in step)",
+        ["tests/test_formats.py"],
     ),
     (
         "zs5 refuses a listing of exactly the cap",

@@ -207,11 +207,12 @@ def test_isolated_sweeps_zs5_once_per_class_and_earlier_irreducible(monkeypatch,
 )
 def test_isolated_fails_on_corrupted_columns(reps, cols, witnesses):
     n = len(reps)
-    points = tuple(ClassId("z", r, str(r)) for r in reps)
     rows = tuple(sum(1 << j for j in range(n) if cols[j] >> i & 1) for i in range(n))
-    # the seed's irreducibles, as its listing gives them to the build
-    seed = points[-1]
-    f = Fragment(Z, points, (), (seed,), (Z._listing(seed.rep)[1],), {r: i for i, r in enumerate(reps)})
+    # the points the ring judges irreducible, in the place of the seed's
+    # listing: no listing names -3, which is no canonical rep
+    irreducible = [r for r in reps if Z.is_irreducible(r)]
+    seed = ClassId("z", reps[-1], str(reps[-1]))
+    f = Fragment(Z, reps, tuple(map(str, reps)), {}, (seed,), (lambda: irreducible,), {r: i for i, r in enumerate(reps)})
     f.cols, f.rows = cols, rows
     r = C.isolated_points(f)
     assert r.verdict == "fails"
@@ -286,8 +287,8 @@ def _preorder_fragment(n, edges):
             if rows[i] >> k & 1:
                 rows[i] |= rows[k]
     cols = [sum(1 << i for i in range(n) if rows[i] >> j & 1) for j in range(n)]
-    points = tuple(cz(k) for k in range(2, n + 2))
-    f = Fragment(Z, points, (), points[:1], (Z._listing(2)[1],), {p.rep: i for i, p in enumerate(points)})
+    reps = tuple(range(2, n + 2))
+    f = Fragment(Z, reps, tuple(map(str, reps)), {}, (cz(2),), (Z._listing(2)[1],), {r: i for i, r in enumerate(reps)})
     f.cols, f.rows = tuple(cols), tuple(rows)
     return f
 
@@ -562,6 +563,23 @@ def test_maximal_empty_family():
     # the compact witness's family is refused the same way
     with pytest.raises(ParameterError, match="^family of classes is empty$"):
         C.non_compact_witness(Z, cz(2), [])
+
+
+@pytest.mark.parametrize("value, shown", [(None, "a NoneType"), (12, "12"), ("12", "'12'")])
+@pytest.mark.parametrize(
+    "check",
+    [
+        C.check_t0,
+        C.check_nested,
+        C.isolated_points,
+        C.dense_open_check,
+        lambda fragment: C.maximal_basic_open(fragment, [cz(2)]),
+    ],
+    ids=["t0", "nested", "isolated", "dense-open", "maximal"],
+)
+def test_fragment_checks_refuse_a_non_fragment(check, value, shown):
+    with pytest.raises(ParameterError, match=f"^{re.escape(shown)} is not a fragment$"):
+        check(value)
 
 
 # ---------------------------------------------------------------------------

@@ -544,13 +544,15 @@ def test_dot_rank_groups():
 
 
 def test_exports_derive_only_the_tables_they_read(monkeypatch, capsys):
-    # a fragment derives its columns and rows on first read, and keeps the
-    # point index its build made.  JSON, text and the read-back read only the
-    # covering pairs; DOT ranks its nodes by column; a t0 check reads the
-    # columns and the build's index
+    # a fragment derives its point classes, columns and rows on first read,
+    # and keeps the point index its build made.  JSON, text and the
+    # read-back read only the point texts and the covering pairs; DOT ranks
+    # its nodes by column; a t0 check reads the columns and the build's
+    # index; the nested check the rows too.  None of them makes every
+    # point's class
     def derived(f):
         assert "_index" in vars(f)
-        return {name for name in ("cols", "rows") if name in vars(f)}
+        return {name for name in ("points", "cols", "rows") if name in vars(f)}
 
     made = []
     monkeypatch.setattr(
@@ -565,6 +567,8 @@ def test_exports_derive_only_the_tables_they_read(monkeypatch, capsys):
     assert derived(back) == set()
     assert C.check_t0(back).verdict == "holds"
     assert derived(back) == {"cols"}
+    assert cli.main(["check", "--ring", "z", "--seeds", "360,77", "--props", "t0,isolated,nested"]) == 0
+    assert derived(made[-1]) == {"cols", "rows"}
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from divtop import checks as C
 from divtop import topology
 from divtop.errors import ParameterError, SizeGuard
 from divtop.formats import fragment_from_json, fragment_to_json
-from divtop.rings import ClassId, Gauss, PPow, Ring, Root5, make_ring
+from divtop.rings import Gauss, PPow, Ring, Root5, make_ring
 from divtop.topology import Fragment, PointSet, _divisibility, build_fragment
 
 from oracles import (
@@ -368,9 +368,9 @@ def test_isolated_reads_only_singleton_columns():
     # 4's holds its own and one other.  Only point 0 is isolated
     cols = (0b00001, 0b00001, 0b01000, 0b00000, 0b10010)
     n = len(cols)
-    points = tuple(ClassId("z", r, str(r)) for r in (2, 3, 5, 7, 11))
+    reps = (2, 3, 5, 7, 11)
     rows = tuple(sum(1 << j for j in range(n) if cols[j] >> i & 1) for i in range(n))
-    f = Fragment(Z, points, (), points[:1], (Z._listing(2)[1],), {p.rep: i for i, p in enumerate(points)})
+    f = Fragment(Z, reps, tuple(map(str, reps)), {}, (Z.canonical_class(2),), (Z._listing(2)[1],), {r: i for i, r in enumerate(reps)})
     f.cols, f.rows = cols, rows
     assert f.isolated().bits == 0b00001
     assert f.isolated().texts() == ("2",)
@@ -534,19 +534,23 @@ def test_point_index_matches_the_class_keyed_oracle(ring_seeds):
 @pytest.mark.parametrize("seeds, points", [((360, 77), 26), ((360, 84), 29)])
 def test_a_union_build_makes_one_class_and_one_text_per_point(monkeypatch, seeds, points):
     # the union keeps each listed rep with its text, so a rep that two seeds
-    # list (360 and 84 share 2, 3, 4, 6 and 12) is printed once, and each
-    # point's class is made once, after the sort.  Ring._class and
-    # ClassId._make are the only places the library makes a class
+    # list (360 and 84 share 2, 3, 4, 6 and 12) is printed once.  The build
+    # makes no class: reading points makes one per point, once.
+    # Ring._class and Fragment.point are the only places the library makes
+    # a class
     seeds = [Z.canonical_class(s) for s in seeds]
     texts, classes = [], []
     fmt = Z.fmt
     monkeypatch.setattr(Z, "fmt", lambda e: texts.append(e) or fmt(e))
     make_class = Ring._class
     monkeypatch.setattr(Ring, "_class", lambda self, rep: classes.append(rep) or make_class(self, rep))
-    make = ClassId._make
-    monkeypatch.setattr(ClassId, "_make", classmethod(lambda cls, fields: classes.append(fields) or make(fields)))
+    point = Fragment.point
+    monkeypatch.setattr(Fragment, "point", lambda self, i: classes.append(i) or point(self, i))
     f = build_fragment(Z, seeds)
-    assert len(texts) == len(classes) == len(f) == points
+    assert len(texts) == len(f) == points and classes == []
+    assert f.points is f.points and classes == list(range(points))
+    assert all(f.point(i) == p for i, p in enumerate(f.points))
+    assert [p.text for p in f.points] == list(f.texts) and tuple(p.rep for p in f.points) == f.reps
 
 
 def test_a_built_fragment_keeps_the_index_its_walk_read(monkeypatch):
